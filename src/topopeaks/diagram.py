@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
 import numpy as np
 
 
@@ -48,75 +46,113 @@ def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
             fh.write(f"{b!r},{d!r}\n")
 
 
-def _feasible(t: float, cost: np.ndarray, diag1: np.ndarray, diag2: np.ndarray) -> bool:
-    """Perfect matching test at threshold t.
+def _covers(adj: np.ndarray) -> bool:
+    """True when some matching of the bipartite graph ``adj`` saturates every row.
 
-    Left side: points of the first diagram plus one diagonal slot per point of
-    the second; right side is the mirror image. A point may match a point of
-    the other diagram at infinity-norm cost <= t, or the diagonal when its own
-    gap to the diagonal is <= t; diagonal slots match each other freely.
+    ``adj[r, c]`` says whether row r may take column c. Hopcroft-Karp: each
+    phase lays out breadth-first layers from the free rows and then augments
+    along vertex-disjoint shortest paths, walked with an explicit stack so
+    that no path length can reach the interpreter's recursion limit.
     """
-    n1, n2 = cost.shape
-    adj = cost <= t
-    d1ok = diag1 <= t
-    d2ok = diag2 <= t
-    free_b = range(n2, n2 + n1)
-    d2_real = np.flatnonzero(d2ok)
-
-    match_b = [-1] * (n1 + n2)
-
-    def neighbors(u: int):
-        if u < n1:
-            real = np.flatnonzero(adj[u])
-            return chain(real, free_b) if d1ok[u] else iter(real)
-        return chain(d2_real, free_b)
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in neighbors(u):
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_b[v] == -1 or augment(match_b[v], seen):
-                match_b[v] = u
-                return True
-        return False
-
-    for u in range(n1 + n2):
-        if not augment(u, [False] * (n1 + n2)):
+    rows = [np.flatnonzero(r).tolist() for r in adj]
+    n = len(rows)
+    match_row, match_col = [-1] * n, [-1] * adj.shape[1]
+    unreached = n + 1
+    free = list(range(n))
+    while free:
+        dist = [unreached] * n
+        for u in free:
+            dist[u] = 0
+        queue, found = list(free), False
+        for u in queue:
+            for v in rows[u]:
+                w = match_col[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == unreached:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not found:
             return False
+        nxt = [0] * n
+        for s in free:
+            stack = [s]
+            while stack:
+                u = stack[-1]
+                if nxt[u] == len(rows[u]):
+                    dist[u] = unreached
+                    stack.pop()
+                    continue
+                v = rows[u][nxt[u]]
+                nxt[u] += 1
+                w = match_col[v]
+                if w == -1:
+                    # nxt[x] - 1 is the column each row on the stack left by
+                    for x in stack:
+                        c = rows[x][nxt[x] - 1]
+                        match_row[x], match_col[c] = c, x
+                    break
+                if dist[w] == dist[u] + 1:
+                    stack.append(w)
+        free = [u for u in free if match_row[u] == -1]
     return True
+
+
+def _feasible(t: float, cost: np.ndarray, gap1: np.ndarray, gap2: np.ndarray) -> bool:
+    """Whether the diagrams admit a matching of cost at most t.
+
+    A point may go to the diagonal when its half-gap ``gap`` is <= t; a point
+    whose half-gap exceeds t is *forced*: it needs a partner in the other
+    diagram at infinity-norm ``cost`` <= t. Every other point can go to the
+    diagonal, so a matching of cost <= t exists iff one matching of the
+    graph {cost <= t} covers the forced points of both diagrams at once.
+    By the Mendelsohn-Dulmage theorem, a bipartite graph has a matching
+    covering a row set A and a column set B iff it has one covering A and
+    another covering B. The test is therefore two one-sided matchings: the
+    forced rows against all columns, and the forced columns against all rows.
+    """
+    return _covers(cost[gap1 > t] <= t) and _covers((cost[:, gap2 > t] <= t).T)
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Exact bottleneck distance between two diagrams.
 
     The optimum is one of finitely many values: a pairwise infinity-norm cost
-    or a point's half-gap to the diagonal. The candidates are enumerated and
-    the smallest feasible one is found by bisection over the sorted list, so
-    no floating tolerance enters the result.
+    or a point's half-gap to the diagonal. Every point needs a partner, either
+    the diagonal or a point of the other diagram, so the distance is at least
+    the largest over points of min(half-gap, cheapest cross cost); sending
+    every point to the diagonal is always feasible, so it is at most the
+    largest half-gap. The smallest feasible candidate between these bounds is
+    found by bisection over the sorted candidates, each step deciding
+    feasibility with :func:`_feasible`, so no floating tolerance enters the
+    result.
     """
     p1 = np.array(d1.points, dtype=np.float64).reshape(-1, 2)
     p2 = np.array(d2.points, dtype=np.float64).reshape(-1, 2)
     if p1.shape[0] == 0 and p2.shape[0] == 0:
         return 0.0
-    diag1 = (p1[:, 0] - p1[:, 1]) / 2.0
-    diag2 = (p2[:, 0] - p2[:, 1]) / 2.0
+    gap1 = (p1[:, 0] - p1[:, 1]) / 2.0
+    gap2 = (p2[:, 0] - p2[:, 1]) / 2.0
     cost = np.maximum(
         np.abs(p1[:, 0][:, None] - p2[:, 0][None, :]),
         np.abs(p1[:, 1][:, None] - p2[:, 1][None, :]),
     )
-    cands = {0.0}
-    cands.update(map(float, diag1))
-    cands.update(map(float, diag2))
-    cands.update(map(float, cost.ravel()))
-    ordered = sorted(cands)
-    if _feasible(ordered[0], cost, diag1, diag2):
-        return ordered[0]
-    lo, hi = 0, len(ordered) - 1
+    gaps = np.concatenate((gap1, gap2))
+    cheapest = np.concatenate((
+        np.min(cost, axis=1, initial=np.inf),
+        np.min(cost, axis=0, initial=np.inf),
+    ))
+    lower = np.max(np.minimum(gaps, cheapest))
+    upper = np.max(gaps)
+    within = cost[(cost >= lower) & (cost <= upper)]
+    cands = np.unique(np.concatenate((gaps[gaps >= lower], within)))
+    # cands[hi] is feasible (it is the upper bound); index lo = -1 stands for
+    # the infeasible values below the lower bound.
+    lo, hi = -1, cands.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _feasible(ordered[mid], cost, diag1, diag2):
+        if _feasible(cands[mid], cost, gap1, gap2):
             hi = mid
         else:
             lo = mid
-    return ordered[hi]
+    return float(cands[hi])

@@ -1,7 +1,9 @@
-"""Bottleneck distance, checked against exhaustive matching enumeration."""
+"""Bottleneck distance, checked against exhaustive matching enumeration and
+against a diagonal-copy perfect-matching reference."""
 
 from __future__ import annotations
 
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -9,8 +11,13 @@ import pytest
 from conftest import mk
 
 from topopeaks import (
+    NoiseModel,
     PersistenceDiagram,
+    SimulationSpec,
+    Spectrum,
+    add_noise,
     bottleneck_distance,
+    generate_ground_truth,
     to_diagram,
     transform,
     write_diagram_csv,
@@ -36,6 +43,83 @@ def brute_bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
                         cost = max(cost, (b - d) / 2.0)
                 best = min(best, cost)
     return best
+
+
+def reference_feasible(t, cost, gap1, gap2) -> bool:
+    """Perfect matching test on the diagonal-copy graph at threshold t.
+
+    Left side: points of the first diagram plus one diagonal slot per point
+    of the second; the right side is the mirror image. A point may match a
+    point of the other diagram at infinity-norm cost <= t, or any diagonal
+    slot when its own half-gap is <= t; diagonal slots match each other
+    freely. Kuhn's augmenting paths after a greedy start, each path searched
+    depth-first with an explicit stack.
+    """
+    n1, n2 = cost.shape
+    n = n1 + n2
+    slots = list(range(n2, n))
+    adj = [np.flatnonzero(cost[u] <= t).tolist() + (slots if gap1[u] <= t else [])
+           for u in range(n1)]
+    adj += [np.flatnonzero(gap2 <= t).tolist() + slots] * n2
+    match_b = [-1] * n
+    unmatched = []
+    for u in range(n):
+        v = next((v for v in adj[u] if match_b[v] == -1), None)
+        if v is None:
+            unmatched.append(u)
+        else:
+            match_b[v] = u
+    for root in unmatched:
+        seen = [False] * n
+        stack, via = [(root, iter(adj[root]))], []
+        while stack:
+            u, nbrs = stack[-1]
+            v = next((v for v in nbrs if not seen[v]), None)
+            if v is None:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[v] = True
+            via.append(v)
+            if match_b[v] == -1:
+                for (w, _), c in zip(stack, via):
+                    match_b[c] = w
+                break
+            stack.append((match_b[v], iter(adj[match_b[v]])))
+        else:
+            return False
+    return True
+
+
+def reference_costs(d1: PersistenceDiagram, d2: PersistenceDiagram):
+    """Pairwise infinity-norm costs and the half-gaps of both diagrams."""
+    p1 = np.array(d1.points, dtype=np.float64).reshape(-1, 2)
+    p2 = np.array(d2.points, dtype=np.float64).reshape(-1, 2)
+    cost = np.maximum(np.abs(p1[:, None, 0] - p2[None, :, 0]),
+                      np.abs(p1[:, None, 1] - p2[None, :, 1]))
+    return cost, (p1[:, 0] - p1[:, 1]) / 2.0, (p2[:, 0] - p2[:, 1]) / 2.0
+
+
+def reference_candidates(cost, gap1, gap2) -> list[float]:
+    """Every value the distance can take: 0, a half-gap or a pairwise cost."""
+    return sorted({0.0, *gap1.tolist(), *gap2.tolist(), *cost.ravel().tolist()})
+
+
+def reference_bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
+    """Smallest candidate with a perfect diagonal-copy matching, by bisection."""
+    cost, gap1, gap2 = reference_costs(d1, d2)
+    ordered = reference_candidates(cost, gap1, gap2)
+    if reference_feasible(ordered[0], cost, gap1, gap2):
+        return ordered[0]
+    lo, hi = 0, len(ordered) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_feasible(ordered[mid], cost, gap1, gap2):
+            hi = mid
+        else:
+            lo = mid
+    return ordered[hi]
 
 
 def random_diagram(rng, max_points=4, grid=None) -> PersistenceDiagram:
@@ -122,6 +206,46 @@ class TestBottleneckAgainstBruteForce:
             d1 = random_diagram(rng, grid=grid)
             d2 = random_diagram(rng, grid=grid)
             assert bottleneck_distance(d1, d2) == brute_bottleneck(d1, d2)
+
+
+class TestBottleneckAgainstReference:
+    """The forced-point matcher against the diagonal-copy formulation."""
+
+    @pytest.mark.parametrize("grid", [None, np.arange(6, dtype=float)],
+                             ids=["continuous", "tied-grid"])
+    def test_random_pairs_up_to_sixty_points(self, grid):
+        rng = np.random.default_rng(105 if grid is None else 106)
+        for _ in range(150):
+            d1 = random_diagram(rng, max_points=60, grid=grid)
+            d2 = random_diagram(rng, max_points=60, grid=grid)
+            expected = reference_bottleneck(d1, d2)
+            got = bottleneck_distance(d1, d2)
+            assert type(got) is float
+            assert got == expected
+            assert bottleneck_distance(d2, d1) == expected
+
+
+class TestBottleneckAtRealSize:
+    def test_thousand_point_diagrams(self):
+        # Full-axis pixels 18 (circle) and 54 (square) of a noisy 8x8
+        # simulator image: about a thousand maxima each, as in real MSI data.
+        image, _ = generate_ground_truth(SimulationSpec(size=8, seed=1234))
+        image = add_noise(image, NoiseModel("gaussian", 0.1, 1234))
+        d1, d2 = (to_diagram(transform(Spectrum(image.mz, image.spectra[p])))
+                  for p in (18, 54))
+        assert (len(d1), len(d2)) == (943, 929)
+        start = time.perf_counter()
+        dist = bottleneck_distance(d1, d2)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        cost, gap1, gap2 = reference_costs(d1, d2)
+        cands = reference_candidates(cost, gap1, gap2)
+        assert dist in cands
+        i = cands.index(dist)
+        assert i > 0
+        assert reference_feasible(dist, cost, gap1, gap2)
+        assert not reference_feasible(cands[i - 1], cost, gap1, gap2)
+        assert bottleneck_distance(d2, d1) == dist
 
 
 class TestMetricAxioms:
