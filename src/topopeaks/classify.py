@@ -402,18 +402,19 @@ class CVReport:
 
 def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
              n_trees: int = 1000, mtry: int | None = None, min_leaf: int = 1,
-             seed: int = 1234, threshold: float = 0.5,
-             workers: int = 1) -> CVReport:
+             seed: int = 1234, threshold: float = 0.5) -> CVReport:
     """Cross-validate a classifier over group folds.
 
-    Feature matrices are built from the training spectra of each fold and,
-    separately, from its held-out spectra; held-out rows never reach the
-    fitting step. Folds whose test labels are single-class are skipped with a
-    warning.
+    The feature matrix is built once for the whole dataset and sliced per
+    fold: each row depends only on its own spectrum, so the slices equal
+    matrices built from the fold's training and held-out spectra, and held-out
+    rows never reach the fitting step. Folds whose test labels are
+    single-class are skipped with a warning.
     """
     if classifier not in ("logistic", "forest"):
         raise ValueError(f"unknown classifier {classifier!r}")
     folds = group_folds(dataset.groups, scheme)
+    Z = build_matrix(dataset, k).values
     names: list[str] = []
     scores: list[float] = []
     skipped: list[str] = []
@@ -423,8 +424,8 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
             warnings.warn(f"fold {name!r}: test set has a single class, skipping")
             skipped.append(name)
             continue
-        Z_train = build_matrix(dataset.subset(train_idx), k, workers).values
-        Z_test = build_matrix(dataset.subset(test_idx), k, workers).values
+        Z_train = Z[train_idx]
+        Z_test = Z[test_idx]
         y_train = dataset.labels[train_idx]
         if classifier == "logistic":
             model = fit_logistic(Z_train, y_train, threshold=threshold)

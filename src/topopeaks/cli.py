@@ -8,15 +8,12 @@ validation problem (bad flags or bad input values), 2 on an I/O problem.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import persistence
 from .classify import group_cv
-from .core import load_dataset_csv, load_spectrum_csv, write_pgm
+from .core import MSImage, load_dataset_csv, load_spectrum_csv, write_pgm
 from .diagram import write_diagram_csv
 from .simulate import (
     NoiseModel,
@@ -41,23 +38,12 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _positive_workers(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("thread count must be positive")
-    return n
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="topopeaks",
                      description="Persistence-based peak analysis of spectra")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform", parents=[], help="persistence features of one spectrum",
+    p = sub.add_parser("transform", help="persistence features of one spectrum",
                        description="Compute the persistence transformation of a spectrum "
                                    "and write the top-k% features as CSV.")
     p.add_argument("--in", dest="infile", required=True, help="input spectrum CSV (mz,intensity)")
@@ -77,20 +63,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=float, default=30.0, help="percentage of peaks to keep")
     p.add_argument("--n-trees", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--threads", type=_positive_workers, default=_default_workers(),
-                   help="worker processes for feature building (default: all cores)")
 
-    def add_sim_flags(sp, with_noise=True):
+    def add_sim_flags(sp):
         sp.add_argument("--size", type=int, default=30, help="image side length in pixels")
         sp.add_argument("--baseline", type=float, default=0.0)
         sp.add_argument("--n-mz", type=int, default=3466)
         sp.add_argument("--n-peaks", type=int, default=50)
         sp.add_argument("--seed", type=int, default=1234)
-        if with_noise:
-            sp.add_argument("--noise", choices=["none", "gaussian", "poisson"],
-                            default="gaussian")
-            sp.add_argument("--sd", type=float, default=0.1, help="gaussian noise sd")
-            sp.add_argument("--lam", type=float, default=1.0, help="poisson noise rate")
+        sp.add_argument("--noise", choices=["none", "gaussian", "poisson"],
+                        default="gaussian")
+        sp.add_argument("--sd", type=float, default=0.1, help="gaussian noise sd")
+        sp.add_argument("--lam", type=float, default=1.0, help="poisson noise rate")
 
     p = sub.add_parser("simulate", help="generate a synthetic image",
                        description="Write ground-truth and noisy mean images as PGM.")
@@ -103,7 +86,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     add_sim_flags(p)
     p.add_argument("--k", default="10,25", help="comma-separated k percentages")
-    p.add_argument("--threads", type=_positive_workers, default=_default_workers())
 
     p = sub.add_parser("bench", help="denoising wall-clock benchmark",
                        description="Time denoising across image sizes; write a timing CSV.")
@@ -111,8 +93,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", default="30,42,60", help="comma-separated image sizes")
     add_sim_flags(p)
     p.add_argument("--k", type=float, default=25.0)
-    p.add_argument("--threads", type=_positive_workers, default=1,
-                   help="worker processes (default 1: sequential baseline)")
     return parser
 
 
@@ -153,7 +133,7 @@ def _cmd_classify(args) -> int:
     dataset = load_dataset_csv(args.spectra, args.labels)
     _log(f"loaded {dataset.n} spectra with {dataset.q} mz values")
     report = group_cv(dataset, args.scheme, args.classifier, args.k,
-                      n_trees=args.n_trees, seed=args.seed, workers=args.threads)
+                      n_trees=args.n_trees, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     folds_path = out_dir / "folds.csv"
@@ -171,7 +151,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _simulate_and_write(args) -> tuple[Path, MSImage]:
+    """Generate the flagged image, write its ground-truth and noisy PGMs."""
     spec = SimulationSpec(size=args.size, n_mz=args.n_mz, n_peaks=args.n_peaks,
                           baseline=args.baseline, seed=args.seed)
     image, _ = generate_ground_truth(spec)
@@ -181,25 +162,22 @@ def _cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(mean_image(image), out_dir / "ground_truth.pgm")
     write_pgm(mean_image(noisy), out_dir / "noisy.pgm")
+    return out_dir, noisy
+
+
+def _cmd_simulate(args) -> int:
+    out_dir, _ = _simulate_and_write(args)
     _log(f"wrote {out_dir / 'ground_truth.pgm'} and {out_dir / 'noisy.pgm'}")
     return 0
 
 
 def _cmd_denoise(args) -> int:
-    ks = _parse_k_list(args.k)
+    ks = [persistence._check_k(k) for k in _parse_k_list(args.k)]
     if not ks:
         raise ValueError("need at least one k value")
-    spec = SimulationSpec(size=args.size, n_mz=args.n_mz, n_peaks=args.n_peaks,
-                          baseline=args.baseline, seed=args.seed)
-    image, _ = generate_ground_truth(spec)
-    noisy = add_noise(image, _noise_model(args))
-    _log(f"generated {args.size}x{args.size} image with {args.n_mz} mz values")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(mean_image(image), out_dir / "ground_truth.pgm")
-    write_pgm(mean_image(noisy), out_dir / "noisy.pgm")
+    out_dir, noisy = _simulate_and_write(args)
     for k in ks:
-        cleaned = denoise(noisy, k, workers=args.threads)
+        cleaned = denoise(noisy, k)
         name = f"denoised_k{k:g}.pgm"
         write_pgm(mean_image(cleaned), out_dir / name)
         _log(f"wrote {out_dir / name}")
@@ -209,8 +187,7 @@ def _cmd_denoise(args) -> int:
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     rows = bench_denoise(sizes, _noise_model(args), args.k, baseline=args.baseline,
-                         n_mz=args.n_mz, n_peaks=args.n_peaks, seed=args.seed,
-                         workers=args.threads)
+                         n_mz=args.n_mz, n_peaks=args.n_peaks, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write("size,pixels,seconds,seconds_per_pixel,ratio_vs_first\n")
         first = rows[0].seconds

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LabeledDataset
-from .persistence import _check_k, _filtered_persistence_vector
+from .persistence import _check_k, _topk_vectors
+
+# Nothing here starts a process. ProcessPoolExecutor stays importable from this
+# module only because bench/spans.py patches it when tracing; drop it together
+# with that patch.
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,31 +53,14 @@ def to_persistence_vector(pairs, q: int) -> np.ndarray:
     return vec
 
 
-def _vector_chunk(args) -> np.ndarray:
-    rows, k = args
-    return np.array([_filtered_persistence_vector(row, k) for row in rows])
-
-
-def _map_rows(rows: np.ndarray, k: float, workers: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.zeros(rows.shape)
-    if workers <= 1 or rows.shape[0] < 4 * workers:
-        return _vector_chunk((rows, k))
-    chunks = np.array_split(rows, 4 * workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_vector_chunk, ((c, k) for c in chunks)))
-    return np.concatenate([p.reshape(-1, rows.shape[1]) for p in parts])
-
-
-def build_matrix(dataset: LabeledDataset, k, workers: int = 1) -> FeatureMatrix:
+def build_matrix(dataset: LabeledDataset, k) -> FeatureMatrix:
     """Top-k% persistence feature matrix for a labeled dataset.
 
     Row i is zero except at the retained peak positions of spectrum i, which
     carry their persistence values.
     """
     k = _check_k(k)
-    values = _map_rows(dataset.intensities, k, workers)
-    return FeatureMatrix(values, dataset.mz)
+    return FeatureMatrix(_topk_vectors(dataset.intensities, k), dataset.mz)
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path) -> None:

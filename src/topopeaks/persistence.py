@@ -237,19 +237,96 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
     return chosen
 
 
-def _filtered_persistence_vector(values: np.ndarray, k: float) -> np.ndarray:
-    """Fast path: spectrum values -> length-q vector of retained persistences."""
-    pairs = [
-        (t.position, t.birth - t.death)
-        for t in _transform_values(values)
-        if t.birth > t.death
-    ]
-    keep = math.ceil(k * len(pairs) / 100.0)
-    vec = np.zeros(len(values))
-    if keep:
-        for pos, pers in sorted(pairs, key=lambda p: (-p[1], p[0]))[:keep]:
-            vec[pos] = pers
-    return vec
+_BLOCK = 8  # rows per kernel pass; bounds the sparse tables' memory
+
+
+def _topk_block(rows: np.ndarray, k: float) -> np.ndarray:
+    """:func:`_topk_vectors` for one block of rows."""
+    b, q = rows.shape
+    # Each row padded with +inf at both ends: a window that reaches past the
+    # row holds an inf and is never taken, and the right search always stops.
+    # Sparse tables: level l holds the max (min) of the window of length 2**l
+    # starting at each padded position, +inf where the window leaves the row.
+    width = q + 2
+    levels = width.bit_length()
+    hi = np.full((levels, b, width), np.inf)
+    lo = np.full((levels, b, width), np.inf)
+    hi[0, :, 1:-1] = rows
+    lo[0, :, 1:-1] = rows
+    for level in range(1, levels):
+        span = 1 << (level - 1)
+        fit = width - 2 * span + 1
+        np.maximum(hi[level - 1, :, :fit], hi[level - 1, :, span:span + fit],
+                   out=hi[level, :, :fit])
+        np.minimum(lo[level - 1, :, :fit], lo[level - 1, :, span:span + fit],
+                   out=lo[level, :, :fit])
+    hi = hi.reshape(levels, -1)
+    lo = lo.reshape(levels, -1)
+
+    # Peaks: local maxima of the total order (-value, position), i.e. above
+    # the left neighbour and not below the right one. A plateau that rises
+    # again yields a zero-persistence peak, dropped below.
+    is_peak = np.ones((b, q), dtype=bool)
+    is_peak[:, 1:] = rows[:, 1:] > rows[:, :-1]
+    is_peak[:, :-1] &= rows[:, :-1] >= rows[:, 1:]
+    row, pos = np.nonzero(is_peak)
+    birth = rows[row, pos]
+    row_at = row * width  # flat index where each peak's padded row starts
+
+    # Nearest elder on each side by binary lifting: take every window, longest
+    # first, that holds no elder (left: no value >= birth; right: none >
+    # birth). The taken windows tile the span to the elder, so the minimum of
+    # their range-minima is the saddle on that side.
+    left = row_at + pos + 1  # the left windows end here, at the peak
+    right = left + 1  # and the right ones start here
+    left_min = np.full(pos.size, np.inf)
+    right_min = np.full(pos.size, np.inf)
+    for level in range(levels - 1, -1, -1):
+        w = 1 << level
+        at = np.maximum(left - w, row_at)
+        take = hi[level, at] < birth
+        left_min = np.where(take, np.minimum(left_min, lo[level, at]), left_min)
+        left -= take * w
+        take = hi[level, right] <= birth
+        right_min = np.where(take, np.minimum(right_min, lo[level, right]), right_min)
+        right += take * w
+    has_left = left - row_at > 1
+    has_right = right - row_at < q + 1
+    death = np.where(has_left & has_right, np.maximum(left_min, right_min),
+                     np.where(has_left, left_min,
+                              np.where(has_right, right_min, rows.min(axis=1)[row])))
+    pers = birth - death
+    alive = pers > 0.0
+    row, pos, pers = row[alive], pos[alive], pers[alive]
+
+    # Top-k per row: most persistent first, ties to the smaller position.
+    counts = np.bincount(row, minlength=b)
+    keep = np.ceil(k * counts / 100.0)
+    order = np.lexsort((-pers, row))  # stable: ties stay in position order
+    row, pos, pers = row[order], pos[order], pers[order]
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    kept = np.arange(row.size) - first[row] < keep[row]
+    out = np.zeros((b, q))
+    out[row[kept], pos[kept]] = pers[kept]
+    return out
+
+
+def _topk_vectors(rows: np.ndarray, k: float) -> np.ndarray:
+    """Top-k% persistence vector of every row of an (n, q) matrix.
+
+    Row i is zero except at the ceil(k% of m_i) most persistent of its m_i
+    positive-persistence peaks (ties to the smaller position), which carry
+    their persistence. A peak's death is its topographic saddle: the minimum
+    between it and its nearest elder on each side (the first value >= it to
+    the left, > it to the right), the higher of the two where both exist,
+    the row minimum where neither does. This is the elder-rule pairing of
+    :func:`transform`, computed for all rows at once in fixed-size blocks.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    out = np.zeros(rows.shape)
+    for s in range(0, rows.shape[0], _BLOCK):
+        out[s:s + _BLOCK] = _topk_block(rows[s:s + _BLOCK], k)
+    return out
 
 
 def write_triples_csv(triples, mz: np.ndarray, path) -> None:

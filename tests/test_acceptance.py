@@ -155,7 +155,7 @@ def test_runtime_scaling_in_length_and_peak_count():
 def test_denoise_wall_clock_tracks_pixel_count():
     with criterion("denoise wall clock grows with image area (60/30 and 42/30)"):
         rows = bench_denoise((30, 42, 60), NoiseModel("gaussian", 0.1, seed=5),
-                             k=25.0, workers=1)
+                             k=25.0)
         by_size = {r.size: r.seconds for r in rows}
         ratio_60 = by_size[60] / by_size[30]
         ratio_42 = by_size[42] / by_size[30]

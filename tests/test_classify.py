@@ -21,6 +21,7 @@ from topopeaks import (
     predict_forest,
     predict_logistic,
 )
+from topopeaks import classify as classify_module
 from topopeaks.classify import ForestModel, LogisticModel, TreeNode, _loglik, _score
 
 
@@ -398,3 +399,41 @@ class TestGroupCV:
             f_clean = fit_forest(Z_clean, y_train, n_trees=4, seed=1234)
             f_dirty = fit_forest(Z_dirty, y_train, n_trees=4, seed=1234)
             assert f_clean == f_dirty
+
+    def test_features_built_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(dataset, k):
+            calls.append(dataset.n)
+            return build_matrix(dataset, k)
+
+        monkeypatch.setattr(classify_module, "build_matrix", counting)
+        ds = two_class_dataset(n=32, q=30, seed=26, n_groups=4)
+        group_cv(ds, "leave-one-group-out", "logistic", 50)
+        group_cv(ds, "two-fold-AB", "forest", 50, n_trees=3)
+        assert calls == [ds.n, ds.n]
+
+    def test_fold_matrices_equal_per_fold_builds(self, monkeypatch):
+        # the slices of the one matrix that reach fitting and prediction
+        # are the matrices of the fold's own training and held-out spectra
+        seen = []
+        fit, proba = classify_module.fit_logistic, classify_module._logistic_proba
+
+        def fit_spy(Z, y, **kwargs):
+            seen.append(Z)
+            return fit(Z, y, **kwargs)
+
+        def proba_spy(model, Z):
+            seen.append(Z)
+            return proba(model, Z)
+
+        monkeypatch.setattr(classify_module, "fit_logistic", fit_spy)
+        monkeypatch.setattr(classify_module, "_logistic_proba", proba_spy)
+        ds = two_class_dataset(n=32, q=30, seed=27, n_groups=4)
+        group_cv(ds, "leave-one-group-out", "logistic", 40)
+        expected = [build_matrix(ds.subset(idx), 40).values
+                    for _, train_idx, test_idx in group_folds(ds.groups, "leave-one-group-out")
+                    for idx in (train_idx, test_idx)]
+        assert len(seen) == len(expected) == 8
+        for got, want in zip(seen, expected):
+            np.testing.assert_array_equal(got, want)

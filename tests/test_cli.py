@@ -129,7 +129,7 @@ class TestClassifyCommand:
         spectra, labels = write_dataset(ds, tmp_path)
         out_dir = tmp_path / "cv"
         rc = main(["classify", "--spectra", spectra, "--labels", labels,
-                   "--out-dir", str(out_dir), "--k", "50", "--threads", "1"])
+                   "--out-dir", str(out_dir), "--k", "50"])
         assert rc == 0
         folds = (out_dir / "folds.csv").read_text().splitlines()
         assert folds[0] == "fold,balanced_accuracy"
@@ -147,7 +147,7 @@ class TestClassifyCommand:
         out_dir = tmp_path / "cv"
         rc = main(["classify", "--spectra", spectra, "--labels", labels,
                    "--out-dir", str(out_dir), "--scheme", "two-fold-AB",
-                   "--k", "50", "--threads", "1"])
+                   "--k", "50"])
         assert rc == 0
         folds = (out_dir / "folds.csv").read_text().splitlines()
         assert len(folds) == 3
@@ -158,14 +158,14 @@ class TestClassifyCommand:
         spectra, labels = write_dataset(ds, tmp_path)
         rc = main(["classify", "--spectra", spectra, "--labels", labels,
                    "--out-dir", str(tmp_path / "cv"), "--classifier", "forest",
-                   "--n-trees", "5", "--k", "50", "--threads", "1"])
+                   "--n-trees", "5", "--k", "50"])
         assert rc == 0
 
     def test_single_group_exits_1(self, tmp_path, capsys):
         ds = two_class_dataset(n=10, q=20, seed=33, n_groups=1)
         spectra, labels = write_dataset(ds, tmp_path)
         rc = main(["classify", "--spectra", spectra, "--labels", labels,
-                   "--out-dir", str(tmp_path / "cv"), "--threads", "1"])
+                   "--out-dir", str(tmp_path / "cv")])
         assert rc == 1
         assert "at least 2 groups" in capsys.readouterr().err
 
@@ -175,7 +175,7 @@ class TestClassifyCommand:
         with open(labels, "a") as fh:
             fh.write("1,extra\n")
         rc = main(["classify", "--spectra", spectra, "--labels", labels,
-                   "--out-dir", str(tmp_path / "cv"), "--threads", "1"])
+                   "--out-dir", str(tmp_path / "cv")])
         assert rc == 1
         assert "label count" in capsys.readouterr().err
 
@@ -215,7 +215,7 @@ class TestDenoiseCommand:
         out_dir = tmp_path / "den"
         rc = main(["denoise", "--out-dir", str(out_dir), "--size", "8",
                    "--n-mz", "400", "--n-peaks", "4", "--noise", "none",
-                   "--k", "50,100", "--threads", "1"])
+                   "--k", "50,100"])
         assert rc == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["denoised_k100.pgm", "denoised_k50.pgm",
@@ -223,21 +223,30 @@ class TestDenoiseCommand:
 
     def test_bad_k_list_exits_1(self, tmp_path, capsys):
         rc = main(["denoise", "--out-dir", str(tmp_path / "den"), "--size", "8",
-                   "--n-mz", "400", "--n-peaks", "4", "--k", "ten", "--threads", "1"])
+                   "--n-mz", "400", "--n-peaks", "4", "--k", "ten"])
         assert rc == 1
         assert "bad k list" in capsys.readouterr().err
 
     def test_empty_k_list_exits_1(self, tmp_path):
         rc = main(["denoise", "--out-dir", str(tmp_path / "den"), "--size", "8",
-                   "--n-mz", "400", "--n-peaks", "4", "--k", ",", "--threads", "1"])
+                   "--n-mz", "400", "--n-peaks", "4", "--k", ","])
         assert rc == 1
+
+    @pytest.mark.parametrize("ks", ["10,0", "0"])
+    def test_out_of_range_k_exits_1_before_writing(self, tmp_path, capsys, ks):
+        out_dir = tmp_path / "den"
+        rc = main(["denoise", "--out-dir", str(out_dir), "--size", "8",
+                   "--n-mz", "400", "--n-peaks", "4", "--k", ks])
+        assert rc == 1
+        assert "k must be in" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.pgm")) == []
 
 
 class TestBenchCommand:
     def test_timing_csv(self, tmp_path):
         out = tmp_path / "timing.csv"
         rc = main(["bench", "--out", str(out), "--sizes", "8,10",
-                   "--n-mz", "400", "--n-peaks", "4", "--threads", "1"])
+                   "--n-mz", "400", "--n-peaks", "4"])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "size,pixels,seconds,seconds_per_pixel,ratio_vs_first"

@@ -93,12 +93,6 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match="k must be in"):
             build_matrix(one_row_dataset([0, 1, 0]), 0)
 
-    def test_parallel_matches_sequential(self):
-        ds = two_class_dataset(n=16, q=40, seed=9)
-        seq = build_matrix(ds, 30, workers=1)
-        par = build_matrix(ds, 30, workers=2)
-        np.testing.assert_array_equal(seq.values, par.values)
-
     def test_matrix_is_read_only(self):
         m = build_matrix(one_row_dataset([0, 2, 0]), 100)
         with pytest.raises(ValueError):

@@ -17,17 +17,23 @@ from hypothesis import strategies as st
 
 from topopeaks import (
     FeatureTriple,
+    NoiseModel,
     PersistencePair,
+    SimulationSpec,
+    add_noise,
+    denoise,
     detect_extrema,
     filter_top_k,
+    generate_ground_truth,
     oracle_transform,
     reduce,
     to_diagram,
+    to_persistence_vector,
     transform,
     write_pairs_csv,
     write_triples_csv,
 )
-from topopeaks.persistence import _filtered_persistence_vector
+from topopeaks.persistence import _BLOCK, _topk_vectors
 
 
 class TestDetectExtrema:
@@ -285,16 +291,39 @@ class TestFilterTopK:
         assert kept_lo <= kept_hi
         assert len(kept_hi) == math.ceil(hi * len(pairs) / 100.0)
 
+    @staticmethod
+    def _reference(rows, ks):
+        """Top-k vectors of the rows for each k, by the sweep oracle."""
+        pairs = [reduce(oracle_transform(mk(row))) for row in rows]
+        return {k: np.array([to_persistence_vector(filter_top_k(p, k), rows.shape[1])
+                             for p in pairs]).reshape(rows.shape)
+                for k in ks}
+
     def test_fast_path_matches_composition(self):
+        # the batched kernel against the sweep oracle composed with the
+        # public reduce / filter_top_k, on a batch that is not a whole
+        # number of blocks
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            vals = rng.uniform(0, 9, size=40)
-            k = float(rng.uniform(5, 100))
-            vec = _filtered_persistence_vector(vals, k)
-            expect = np.zeros(40)
-            for p in filter_top_k(reduce(transform(mk(vals))), k):
-                expect[p.position] = p.persistence
-            np.testing.assert_array_equal(vec, expect)
+        n = 3 * _BLOCK + 5
+        for q in range(1, 81):
+            rows = np.empty((n, q))
+            rows[0::5] = rng.uniform(0, 9, size=(len(range(0, n, 5)), q))
+            rows[1::5] = rng.integers(0, 4, size=(len(range(1, n, 5)), q))
+            for i in range(2, n, 5):  # plateaus: runs of repeated levels
+                rows[i] = np.repeat(rng.integers(0, 5, size=q), rng.integers(1, 4, size=q))[:q]
+            for i in range(3, n, 5):  # steps of -1, 0 or +1
+                rows[i] = np.cumsum(rng.integers(-1, 2, size=q)) + q
+            rows[4::5] = 2.5  # constant rows
+            ks = (0.001, 7.5, 25.0, 50.0, 99.9, 100.0)
+            for k, expect in self._reference(rows, ks).items():
+                assert np.array_equal(_topk_vectors(rows, k), expect), (q, k)
+
+    def test_denoise_matches_composition(self):
+        spec = SimulationSpec(size=8, n_mz=300, n_peaks=6, seed=11)
+        image, _ = generate_ground_truth(spec)
+        noisy = add_noise(image, NoiseModel("gaussian", 0.3, seed=11))
+        for k, expect in self._reference(noisy.spectra, (10.0, 25.0)).items():
+            assert np.array_equal(denoise(noisy, k).spectra, expect)
 
 
 class TestFeatureCsv:

@@ -188,13 +188,6 @@ class TestDenoise:
         with pytest.raises(ValueError, match="k must be in"):
             denoise(image, 0)
 
-    def test_parallel_matches_sequential(self):
-        image, _ = generate_ground_truth(SMALL)
-        noisy = add_noise(image, NoiseModel("gaussian", 0.3))
-        seq = denoise(noisy, 25, workers=1)
-        par = denoise(noisy, 25, workers=2)
-        np.testing.assert_array_equal(seq.spectra, par.spectra)
-
 
 class TestMeanImage:
     def test_constant(self):
