@@ -134,18 +134,24 @@ def fit_logistic(Z, y, *, threshold: float = 0.5, tol: float = 1e-8,
     return LogisticModel(beta, threshold, status, n_iter)
 
 
-def predict_logistic(model: LogisticModel, z) -> tuple[float, int]:
-    """Probability of class 1 and the thresholded class for one feature row."""
+def _as_rows(z, width: int) -> tuple[np.ndarray, bool]:
+    """A feature row or matrix as a 2-D array, and whether it was one row."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size != model.beta.size - 1:
-        raise ValueError(f"expected a feature row of length {model.beta.size - 1}")
-    eta = model.beta[0] + z @ model.beta[1:]
-    p = float(_expit(np.array([eta]))[0])
-    return p, int(p > model.threshold)
+    if z.ndim not in (1, 2) or z.shape[-1] != width:
+        raise ValueError(f"expected a feature row or a matrix of rows of length {width}")
+    return np.atleast_2d(z), z.ndim == 1
 
 
-def _logistic_proba(model: LogisticModel, Z: np.ndarray) -> np.ndarray:
-    return _expit(model.beta[0] + Z @ model.beta[1:])
+def predict_logistic(model: LogisticModel, z):
+    """Probability of class 1 and the thresholded class (1 when p > threshold).
+
+    ``z`` is one feature row, giving a float and an int, or a matrix with one
+    row per sample, giving an array of probabilities and an array of classes.
+    """
+    Z, one_row = _as_rows(z, model.beta.size - 1)
+    p = _expit(model.beta[0] + Z @ model.beta[1:])
+    c = (p > model.threshold).astype(np.int64)
+    return (float(p[0]), int(c[0])) if one_row else (p, c)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +176,7 @@ class TreeNode:
     counts: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ForestModel:
     trees: tuple[TreeNode, ...]
     n_features: int
@@ -179,49 +185,37 @@ class ForestModel:
     min_leaf: int
     seed: int
 
-    def __eq__(self, other):
-        if not isinstance(other, ForestModel):
-            return NotImplemented
-        return (
-            self.trees == other.trees
-            and self.n_features == other.n_features
-            and (self.n_trees, self.mtry, self.min_leaf, self.seed)
-            == (other.n_trees, other.mtry, other.min_leaf, other.seed)
-        )
-
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats,
                 min_leaf: int) -> tuple[float, int, float] | None:
-    """Lowest weighted-Gini split over the given features.
+    """Lowest weighted-Gini split over the given (sorted) features.
 
-    Ties go to the smaller feature index, then the smaller threshold.
-    Thresholds sit halfway between consecutive distinct values.
+    All features are scored at once: row j holds feature ``feats[j]`` sorted
+    over the node's samples, and column c the cut that leaves c + 1 samples
+    on the left. Ties go to the smaller feature index, then the smaller
+    threshold. Thresholds sit halfway between consecutive distinct values.
     """
     n = idx.size
-    best: tuple[float, int, float] | None = None
-    for f in feats:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xv = xs[order]
-        yv = y[idx][order]
-        cut = np.flatnonzero(xv[1:] != xv[:-1]) + 1  # candidate left-side sizes
-        if min_leaf > 1:
-            cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
-        if cut.size == 0:
-            continue
-        ones = np.cumsum(yv)
-        l1 = ones[cut - 1]
-        l0 = cut - l1
-        r1 = ones[-1] - l1
-        r0 = (n - cut) - r1
-        gl = 1.0 - (l1 / cut) ** 2 - (l0 / cut) ** 2
-        gr = 1.0 - (r1 / (n - cut)) ** 2 - (r0 / (n - cut)) ** 2
-        g = (cut * gl + (n - cut) * gr) / n
-        i = int(np.argmin(g))  # first minimum: smallest threshold wins ties
-        if best is None or g[i] < best[0]:
-            thr = float(xv[cut[i] - 1] + xv[cut[i]]) / 2.0
-            best = (float(g[i]), int(f), thr)
-    return best
+    xs = X[np.ix_(idx, feats)].T
+    order = np.argsort(xs, axis=1, kind="stable")
+    xv = np.take_along_axis(xs, order, axis=1)
+    ones = np.cumsum(y[idx][order], axis=1)
+    cut = np.arange(1, n)  # left-side sizes
+    l1 = ones[:, :-1]
+    l0 = cut - l1
+    r1 = ones[:, -1:] - l1
+    r0 = (n - cut) - r1
+    gl = 1.0 - (l1 / cut) ** 2 - (l0 / cut) ** 2
+    gr = 1.0 - (r1 / (n - cut)) ** 2 - (r0 / (n - cut)) ** 2
+    g = (cut * gl + (n - cut) * gr) / n
+    g[(xv[:, 1:] == xv[:, :-1]) | (cut < min_leaf) | (n - cut < min_leaf)] = np.inf
+    row_best = g.min(axis=1)
+    j = int(np.argmin(row_best))  # first minimum: smallest feature wins ties
+    if row_best[j] == np.inf:
+        return None
+    i = int(np.argmin(g[j]))  # first minimum: smallest threshold wins ties
+    thr = float(xv[j, i] + xv[j, i + 1]) / 2.0
+    return float(row_best[j]), int(feats[j]), thr
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, start: np.ndarray,
@@ -290,20 +284,31 @@ def fit_forest(Z, y, *, n_trees: int = 1000, mtry: int | None = None,
     return ForestModel(tuple(trees), q, n_trees, mtry, min_leaf, seed)
 
 
-def _tree_vote(tree: TreeNode, z: np.ndarray) -> int:
-    node = tree
-    while node.counts is None:
-        node = node.left if z[node.feature] <= node.threshold else node.right
-    return 1 if node.counts[1] > node.counts[0] else 0
+def predict_forest(model: ForestModel, z):
+    """Majority vote over the trees; an exact tie goes to class 0.
 
-
-def predict_forest(model: ForestModel, z) -> int:
-    """Majority vote over the trees; an exact tie goes to class 0."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size != model.n_features:
-        raise ValueError(f"expected a feature row of length {model.n_features}")
-    ones = sum(_tree_vote(tree, z) for tree in model.trees)
-    return int(ones > len(model.trees) - ones)
+    ``z`` is one feature row, giving an int, or a matrix with one row per
+    sample, giving an array of classes. Each tree routes all rows at once:
+    every node splits the rows that reach it, and every leaf casts its vote
+    for them.
+    """
+    Z, one_row = _as_rows(z, model.n_features)
+    ones = np.zeros(Z.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        stack = [(tree, np.arange(Z.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if rows.size == 0:
+                continue
+            if node.counts is not None:
+                if node.counts[1] > node.counts[0]:
+                    ones[rows] += 1
+                continue
+            left = Z[rows, node.feature] <= node.threshold
+            stack.append((node.left, rows[left]))
+            stack.append((node.right, rows[~left]))
+    preds = (ones > len(model.trees) - ones).astype(np.int64)
+    return int(preds[0]) if one_row else preds
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +434,11 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
         y_train = dataset.labels[train_idx]
         if classifier == "logistic":
             model = fit_logistic(Z_train, y_train, threshold=threshold)
-            preds = (_logistic_proba(model, Z_test) > model.threshold).astype(int)
+            preds = predict_logistic(model, Z_test)[1]
         else:
             model = fit_forest(Z_train, y_train, n_trees=n_trees, mtry=mtry,
                                min_leaf=min_leaf, seed=seed)
-            preds = np.array([predict_forest(model, row) for row in Z_test])
+            preds = predict_forest(model, Z_test)
         names.append(name)
         scores.append(balanced_accuracy(y_test, preds))
     if not scores:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,18 @@ def _frozen_f64(a) -> np.ndarray:
     return out
 
 
+def _mz_axis(mz) -> np.ndarray:
+    """Frozen copy of an m/z axis: one-dimensional, non-empty, finite, strictly increasing."""
+    mz = _frozen_f64(mz)
+    if mz.ndim != 1 or mz.size == 0:
+        raise ValueError("mz must be a one-dimensional axis of at least one point")
+    if not np.all(np.isfinite(mz)):
+        raise ValueError("mz values must be finite")
+    if np.any(np.diff(mz) <= 0):
+        raise ValueError("mz values must be strictly increasing")
+    return mz
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """One spectrum: strictly increasing m/z axis with non-negative intensities."""
@@ -27,20 +38,16 @@ class Spectrum:
     intensity: np.ndarray
 
     def __post_init__(self):
-        mz = _frozen_f64(self.mz)
+        mz = _mz_axis(self.mz)
         intensity = _frozen_f64(self.intensity)
-        if mz.ndim != 1 or intensity.ndim != 1:
-            raise ValueError("mz and intensity must be one-dimensional")
-        if mz.size == 0:
-            raise ValueError("a spectrum needs at least one point")
+        if intensity.ndim != 1:
+            raise ValueError("intensity must be one-dimensional")
         if mz.size != intensity.size:
             raise ValueError(
                 f"mz and intensity lengths differ: {mz.size} != {intensity.size}"
             )
-        if not np.all(np.isfinite(mz)) or not np.all(np.isfinite(intensity)):
-            raise ValueError("mz and intensity must be finite")
-        if mz.size > 1 and np.any(np.diff(mz) <= 0):
-            raise ValueError("mz values must be strictly increasing")
+        if not np.all(np.isfinite(intensity)):
+            raise ValueError("intensities must be finite")
         if np.any(intensity < 0):
             raise ValueError("intensities must be non-negative")
         object.__setattr__(self, "mz", mz)
@@ -66,10 +73,8 @@ class MSImage:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
-        mz = _frozen_f64(self.mz)
+        mz = _mz_axis(self.mz)
         spectra = _frozen_f64(self.spectra)
-        if mz.ndim != 1:
-            raise ValueError("mz must be one-dimensional")
         if spectra.shape != (self.width * self.height, mz.size):
             raise ValueError(
                 f"spectra must have shape {(self.width * self.height, mz.size)}, "
@@ -98,15 +103,11 @@ class LabeledDataset:
     groups: tuple[str, ...]
 
     def __post_init__(self):
-        mz = _frozen_f64(self.mz)
+        mz = _mz_axis(self.mz)
         intensities = _frozen_f64(self.intensities)
         labels = np.array(self.labels, dtype=np.int64, copy=True)
         labels.flags.writeable = False
         groups = tuple(str(g) for g in self.groups)
-        if mz.ndim != 1 or mz.size == 0:
-            raise ValueError("mz must be a non-empty one-dimensional axis")
-        if mz.size > 1 and np.any(np.diff(mz) <= 0):
-            raise ValueError("mz values must be strictly increasing")
         if intensities.ndim != 2 or intensities.shape[1] != mz.size:
             raise ValueError(f"intensities must have shape (n, {mz.size})")
         if not np.all(np.isfinite(intensities)) or np.any(intensities < 0):
@@ -260,27 +261,3 @@ def write_pgm(grid, path) -> None:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a binary PGM written by :func:`write_pgm` (testing aid)."""
-    raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    data = raw[pos + 1 : pos + 1 + w * h]
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)

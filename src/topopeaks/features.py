@@ -43,16 +43,6 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def to_persistence_vector(pairs, q: int) -> np.ndarray:
-    """Place each pair's persistence at its position in a length-q zero vector."""
-    vec = np.zeros(int(q))
-    for p in pairs:
-        if not 0 <= p.position < q:
-            raise ValueError(f"position {p.position} outside spectrum of length {q}")
-        vec[p.position] = p.persistence
-    return vec
-
-
 def build_matrix(dataset: LabeledDataset, k) -> FeatureMatrix:
     """Top-k% persistence feature matrix for a labeled dataset.
 

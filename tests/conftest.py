@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from topopeaks import LabeledDataset, Spectrum
@@ -47,3 +49,38 @@ def two_class_dataset(n=80, q=60, seed=7, n_groups=4) -> LabeledDataset:
         labels[i] = lab
         groups.append(f"g{i // block}")
     return LabeledDataset(mz=mz, intensities=rows, labels=labels, groups=tuple(groups))
+
+
+def to_persistence_vector(pairs, q: int) -> np.ndarray:
+    """Place each pair's persistence at its position in a length-q zero vector."""
+    vec = np.zeros(int(q))
+    for p in pairs:
+        if not 0 <= p.position < q:
+            raise ValueError(f"position {p.position} outside spectrum of length {q}")
+        vec[p.position] = p.persistence
+    return vec
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read back a binary PGM written by ``write_pgm``."""
+    raw = Path(path).read_bytes()
+    fields: list[bytes] = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(raw) and raw[pos : pos + 1].isspace():
+            pos += 1
+        if raw[pos : pos + 1] == b"#":
+            while pos < len(raw) and raw[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(raw) and not raw[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(raw[start:pos])
+    if fields[0] != b"P5":
+        raise ValueError(f"{path}: not a binary PGM")
+    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval != 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    data = raw[pos + 1 : pos + 1 + w * h]
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)

@@ -22,7 +22,51 @@ from topopeaks import (
     predict_logistic,
 )
 from topopeaks import classify as classify_module
-from topopeaks.classify import ForestModel, LogisticModel, TreeNode, _loglik, _score
+from topopeaks.classify import (
+    ForestModel,
+    LogisticModel,
+    TreeNode,
+    _best_split,
+    _loglik,
+    _score,
+)
+
+
+def reference_best_split(X, y, idx, feats, min_leaf):
+    """The split search one feature at a time, as a reference for the 2-D one."""
+    n = idx.size
+    best = None
+    for f in feats:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xv = xs[order]
+        yv = y[idx][order]
+        cut = np.flatnonzero(xv[1:] != xv[:-1]) + 1  # candidate left-side sizes
+        if min_leaf > 1:
+            cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
+        if cut.size == 0:
+            continue
+        ones = np.cumsum(yv)
+        l1 = ones[cut - 1]
+        l0 = cut - l1
+        r1 = ones[-1] - l1
+        r0 = (n - cut) - r1
+        gl = 1.0 - (l1 / cut) ** 2 - (l0 / cut) ** 2
+        gr = 1.0 - (r1 / (n - cut)) ** 2 - (r0 / (n - cut)) ** 2
+        g = (cut * gl + (n - cut) * gr) / n
+        i = int(np.argmin(g))  # first minimum: smallest threshold wins ties
+        if best is None or g[i] < best[0]:
+            thr = float(xv[cut[i] - 1] + xv[cut[i]]) / 2.0
+            best = (float(g[i]), int(f), thr)
+    return best
+
+
+def tied_problem(rng, n, q):
+    """Rounded (tied) features with a few constant columns and noisy labels."""
+    Z = np.round(rng.normal(size=(n, q)) * 2.0) / 2.0
+    Z[:, rng.choice(q, size=q // 4, replace=False)] = rng.normal()
+    y = (Z[:, 0] + Z[:, -1] + rng.normal(size=n) > 0).astype(int)
+    return Z, y
 
 
 def fd_gradient(X, y, beta, h=1e-6):
@@ -114,6 +158,20 @@ class TestPredictLogistic:
     def test_row_length_checked(self):
         with pytest.raises(ValueError, match="length 2"):
             predict_logistic(LogisticModel(np.zeros(3)), np.array([1.0]))
+        with pytest.raises(ValueError, match="length 2"):
+            predict_logistic(LogisticModel(np.zeros(3)), np.zeros((4, 3)))
+
+    def test_matrix_matches_rows(self):
+        rng = np.random.default_rng(56)
+        Z = rng.normal(size=(40, 7))
+        y = (Z[:, 2] + rng.normal(size=40) > 0).astype(int)
+        m = fit_logistic(Z, y)
+        p, c = predict_logistic(m, Z)
+        assert p.shape == c.shape == (40,)
+        rows = [predict_logistic(m, z) for z in Z]
+        assert c.tolist() == [r[1] for r in rows]
+        # BLAS may round a one-row product apart from a many-row one
+        np.testing.assert_allclose(p, [r[0] for r in rows], rtol=1e-12, atol=0)
 
     def test_column_rescale_invariance(self):
         # scale a column by 4 and its coefficient by 1/4: identical scores
@@ -215,12 +273,70 @@ class TestFitForest:
         with pytest.raises(ValueError, match="empty"):
             fit_forest(np.zeros((0, 2)), np.zeros(0))
 
+    def test_model_is_unhashable(self):
+        m = fit_forest(np.array([[0.0], [1.0]]), np.array([0, 1]), n_trees=1)
+        with pytest.raises(TypeError):
+            hash(m)
+
+
+class TestSplitSearch:
+    def test_matches_per_feature_search(self):
+        # random nodes (repeated rows as in a bootstrap) and sorted candidate
+        # sets: the same score bits, feature and threshold, or None for both
+        rng = np.random.default_rng(57)
+        for trial in range(300):
+            n, q = int(rng.integers(2, 30)), int(rng.integers(1, 12))
+            Z, y = tied_problem(rng, n, q)
+            idx = rng.integers(0, n, size=int(rng.integers(2, 2 * n)))
+            feats = np.sort(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False))
+            for min_leaf in (1, 2, 3, 5):
+                want = reference_best_split(Z, y.astype(float), idx, feats, min_leaf)
+                got = _best_split(Z, y.astype(float), idx, feats, min_leaf)
+                assert got == want, (trial, min_leaf)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_forest_matches_per_feature_forest(self, monkeypatch, min_leaf, bootstrap):
+        rng = np.random.default_rng(58)
+        problems = [(*tied_problem(rng, int(rng.integers(10, 60)), int(rng.integers(2, 20))),
+                     None) for _ in range(6)]
+        # all but one column constant and mtry 1: most nodes draw only
+        # constant features, and the search falls back to the rest
+        Z = np.ones((30, 6))
+        Z[:, 4] = np.round(rng.normal(size=30))
+        problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(int), 1))
+        sizes = []
+
+        def spy(X, y, idx, feats, leaf):
+            sizes.append(len(feats))
+            return reference_best_split(X, y, idx, feats, leaf)
+
+        for Z, y, mtry in problems:
+            fast = fit_forest(Z, y, n_trees=8, mtry=mtry, min_leaf=min_leaf,
+                              bootstrap=bootstrap, seed=9)
+            sizes.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(classify_module, "_best_split", spy)
+                slow = fit_forest(Z, y, n_trees=8, mtry=mtry, min_leaf=min_leaf,
+                                  bootstrap=bootstrap, seed=9)
+            assert fast == slow
+        assert max(sizes) == 5  # the last problem searched the rest
+
 
 class TestPredictForest:
     def test_single_tree_leaf_majority(self):
         leaf = TreeNode(counts=(1, 3))
         m = ForestModel((leaf,), 2, 1, 1, 1, 0)
         assert predict_forest(m, np.zeros(2)) == 1
+        m = ForestModel((TreeNode(counts=(2, 2)),), 2, 1, 1, 1, 0)
+        assert predict_forest(m, np.zeros(2)) == 0  # a tied leaf votes 0
+
+    def test_row_on_threshold_goes_left(self):
+        stump = TreeNode(feature=1, threshold=1.5,
+                         left=TreeNode(counts=(0, 2)), right=TreeNode(counts=(2, 0)))
+        m = ForestModel((stump,), 2, 1, 1, 1, 0)
+        Z = np.array([[9.0, 1.5], [9.0, 1.5000001], [-9.0, 1.4999999]])
+        assert predict_forest(m, Z).tolist() == [1, 0, 1]
 
     def test_vote_tie_goes_to_class_zero(self):
         m = ForestModel((TreeNode(counts=(1, 0)), TreeNode(counts=(0, 1))), 2, 2, 1, 1, 0)
@@ -235,6 +351,21 @@ class TestPredictForest:
         m = ForestModel((TreeNode(counts=(1, 0)),), 3, 1, 1, 1, 0)
         with pytest.raises(ValueError, match="length 3"):
             predict_forest(m, np.zeros(2))
+        with pytest.raises(ValueError, match="length 3"):
+            predict_forest(m, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="length 3"):
+            predict_forest(m, np.zeros((1, 1, 3)))
+
+    def test_matrix_matches_rows(self):
+        rng = np.random.default_rng(59)
+        Z, y = tied_problem(rng, 50, 8)
+        m = fit_forest(Z, y, n_trees=15, min_leaf=2, seed=3)
+        new = np.round(rng.normal(size=(30, 8)) * 2.0) / 2.0
+        for X in (Z, new):
+            preds = predict_forest(m, X)
+            assert preds.shape == (X.shape[0],)
+            assert preds.tolist() == [predict_forest(m, row) for row in X]
+        assert predict_forest(m, Z[:0]).shape == (0,)
 
 
 class TestBalancedAccuracy:
@@ -417,18 +548,18 @@ class TestGroupCV:
         # the slices of the one matrix that reach fitting and prediction
         # are the matrices of the fold's own training and held-out spectra
         seen = []
-        fit, proba = classify_module.fit_logistic, classify_module._logistic_proba
+        fit, predict = classify_module.fit_logistic, classify_module.predict_logistic
 
         def fit_spy(Z, y, **kwargs):
             seen.append(Z)
             return fit(Z, y, **kwargs)
 
-        def proba_spy(model, Z):
+        def predict_spy(model, Z):
             seen.append(Z)
-            return proba(model, Z)
+            return predict(model, Z)
 
         monkeypatch.setattr(classify_module, "fit_logistic", fit_spy)
-        monkeypatch.setattr(classify_module, "_logistic_proba", proba_spy)
+        monkeypatch.setattr(classify_module, "predict_logistic", predict_spy)
         ds = two_class_dataset(n=32, q=30, seed=27, n_groups=4)
         group_cv(ds, "leave-one-group-out", "logistic", 40)
         expected = [build_matrix(ds.subset(idx), 40).values

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import read_pgm
 
 from topopeaks import (
     LabeledDataset,
@@ -11,7 +12,6 @@ from topopeaks import (
     Spectrum,
     load_dataset_csv,
     load_spectrum_csv,
-    read_pgm,
     write_pgm,
     write_spectrum_csv,
 )
@@ -68,6 +68,20 @@ class TestMSImage:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             MSImage(width=1, height=1, mz=np.array([1.0]), spectra=np.array([[-1.0]]))
+
+    @pytest.mark.parametrize(
+        "mz,msg",
+        [
+            ([3.0, 2.0, 1.0], "strictly increasing"),
+            ([1.0, 1.0, 2.0], "strictly increasing"),
+            ([1.0, np.nan, 2.0], "finite"),
+            ([], "at least one point"),
+        ],
+    )
+    def test_axis_checked_as_for_a_spectrum(self, mz, msg):
+        # every pixel must make a valid Spectrum on the shared axis
+        with pytest.raises(ValueError, match=msg):
+            MSImage(width=2, height=1, mz=mz, spectra=np.ones((2, len(mz))))
 
 
 class TestLabeledDataset:

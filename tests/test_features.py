@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mk, two_class_dataset
+from conftest import mk, to_persistence_vector, two_class_dataset
 
 from topopeaks import (
     LabeledDataset,
@@ -15,7 +15,6 @@ from topopeaks import (
     detect_extrema,
     filter_top_k,
     reduce,
-    to_persistence_vector,
     transform,
     write_matrix_csv,
 )

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mk
+from conftest import mk, to_persistence_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,6 @@ from topopeaks import (
     oracle_transform,
     reduce,
     to_diagram,
-    to_persistence_vector,
     transform,
     write_pairs_csv,
     write_triples_csv,
