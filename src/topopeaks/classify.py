@@ -21,6 +21,9 @@ from .features import build_matrix
 # ---------------------------------------------------------------------------
 # logistic regression
 
+_TOL = 1e-8  # fit_logistic stops once the gradient's max-norm is at most this
+_MAX_ITER = 200  # and after this many Newton steps at most
+
 
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
@@ -61,7 +64,6 @@ def _score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _as_matrix(Z) -> np.ndarray:
-    Z = getattr(Z, "values", Z)
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("feature matrix must be two-dimensional")
@@ -78,16 +80,16 @@ def _as_binary(y, n: int) -> np.ndarray:
     return y
 
 
-def fit_logistic(Z, y, *, threshold: float = 0.5, tol: float = 1e-8,
-                 max_iter: int = 200) -> LogisticModel:
+def fit_logistic(Z, y, *, threshold: float = 0.5) -> LogisticModel:
     """Maximum-likelihood logistic regression by damped Newton iteration.
 
     The unpenalised log-likelihood sum(y*eta - log(1 + exp(eta))) is maximised
     with step-halving whenever a full Newton step would decrease it. Iteration
-    stops once the gradient's max-norm is at most ``tol`` or after
-    ``max_iter`` steps; a fit whose final coefficients classify the training
-    data perfectly is flagged ``"separated"``, since the likelihood then has
-    no interior maximum.
+    stops once the gradient's max-norm is at most ``_TOL`` or after
+    ``_MAX_ITER`` steps; a fit whose final coefficients classify the training
+    data perfectly at ``threshold`` is flagged ``"separated"``, since the
+    likelihood then has no interior maximum. The model keeps ``threshold``
+    for :func:`predict_logistic`.
     """
     Z = _as_matrix(Z)
     n = Z.shape[0]
@@ -99,10 +101,10 @@ def fit_logistic(Z, y, *, threshold: float = 0.5, tol: float = 1e-8,
     ll = _loglik(X, y, beta)
     n_iter = 0
     converged = False
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         p = _expit(X @ beta)
         g = _score(X, y, beta)
-        if np.max(np.abs(g)) <= tol:
+        if np.max(np.abs(g)) <= _TOL:
             converged = True
             break
         n_iter = it + 1
@@ -334,10 +336,12 @@ def balanced_accuracy(y_true, y_pred) -> float:
 
 
 def _group_key(g: str):
+    # Finite numbers by value, then text ("1" < "1.0"); the rest (nan too) by text.
     try:
-        return (0, float(g), "")
+        value = float(g)
     except ValueError:
         return (1, 0.0, g)
+    return (0, value, g) if math.isfinite(value) else (1, 0.0, g)
 
 
 def group_folds(groups, scheme: str) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -406,10 +410,10 @@ class CVReport:
 
 
 def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
-             n_trees: int = 1000, mtry: int | None = None, min_leaf: int = 1,
-             seed: int = 1234, threshold: float = 0.5) -> CVReport:
+             n_trees: int = 1000, seed: int = 1234) -> CVReport:
     """Cross-validate a classifier over group folds.
 
+    ``classifier`` is ``"logistic"`` or ``"forest"`` (``n_trees`` trees from ``seed``).
     The feature matrix is built once for the whole dataset and sliced per
     fold: each row depends only on its own spectrum, so the slices equal
     matrices built from the fold's training and held-out spectra, and held-out
@@ -419,7 +423,7 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
     if classifier not in ("logistic", "forest"):
         raise ValueError(f"unknown classifier {classifier!r}")
     folds = group_folds(dataset.groups, scheme)
-    Z = build_matrix(dataset, k).values
+    Z = build_matrix(dataset, k)
     names: list[str] = []
     scores: list[float] = []
     skipped: list[str] = []
@@ -433,11 +437,10 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
         Z_test = Z[test_idx]
         y_train = dataset.labels[train_idx]
         if classifier == "logistic":
-            model = fit_logistic(Z_train, y_train, threshold=threshold)
+            model = fit_logistic(Z_train, y_train)
             preds = predict_logistic(model, Z_test)[1]
         else:
-            model = fit_forest(Z_train, y_train, n_trees=n_trees, mtry=mtry,
-                               min_leaf=min_leaf, seed=seed)
+            model = fit_forest(Z_train, y_train, n_trees=n_trees, seed=seed)
             preds = predict_forest(model, Z_test)
         names.append(name)
         scores.append(balanced_accuracy(y_test, preds))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import persistence
 from .classify import group_cv
-from .core import MSImage, load_dataset_csv, load_spectrum_csv, write_pgm
+from .core import MSImage, _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
 from .diagram import write_diagram_csv
 from .simulate import (
     NoiseModel,
@@ -27,6 +27,10 @@ from .simulate import (
 
 
 class _Parser(argparse.ArgumentParser):
+    # Flags are taken only as spelled out: bench's --sizes must not read --size.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad flags; this tool reserves 2 for I/O.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -65,7 +69,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=1234)
 
     def add_sim_flags(sp):
-        sp.add_argument("--size", type=int, default=30, help="image side length in pixels")
         sp.add_argument("--baseline", type=float, default=0.0)
         sp.add_argument("--n-mz", type=int, default=3466)
         sp.add_argument("--n-peaks", type=int, default=50)
@@ -75,16 +78,19 @@ def _build_parser() -> _Parser:
         sp.add_argument("--sd", type=float, default=0.1, help="gaussian noise sd")
         sp.add_argument("--lam", type=float, default=1.0, help="poisson noise rate")
 
+    def add_image_flags(sp):
+        sp.add_argument("--out-dir", required=True)
+        sp.add_argument("--size", type=int, default=30, help="image side length in pixels")
+        add_sim_flags(sp)
+
     p = sub.add_parser("simulate", help="generate a synthetic image",
                        description="Write ground-truth and noisy mean images as PGM.")
-    p.add_argument("--out-dir", required=True)
-    add_sim_flags(p)
+    add_image_flags(p)
 
     p = sub.add_parser("denoise", help="simulate, denoise, and write images",
                        description="Write ground-truth, noisy, and per-k denoised mean "
                                    "images as PGM.")
-    p.add_argument("--out-dir", required=True)
-    add_sim_flags(p)
+    add_image_flags(p)
     p.add_argument("--k", default="10,25", help="comma-separated k percentages")
 
     p = sub.add_parser("bench", help="denoising wall-clock benchmark",
@@ -122,8 +128,7 @@ def _cmd_transform(args) -> int:
         persistence.write_pairs_csv(pairs, spectrum.mz, args.out)
     else:
         keep = {p.position for p in pairs}
-        kept = sorted((t for t in triples if t.position in keep),
-                      key=lambda t: t.position)
+        kept = [t for t in triples if t.position in keep]  # transform's order
         persistence.write_triples_csv(kept, spectrum.mz, args.out)
     _log(f"wrote {args.out} ({len(pairs)} features at k={args.k})")
     return 0
@@ -136,16 +141,12 @@ def _cmd_classify(args) -> int:
                       n_trees=args.n_trees, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    folds_path = out_dir / "folds.csv"
-    with open(folds_path, "w") as fh:
-        fh.write("fold,balanced_accuracy\n")
-        for name, score in zip(report.fold_names, report.fold_scores):
-            fh.write(f"{name},{score!r}\n")
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w") as fh:
-        fh.write("statistic,value\n")
-        for stat in ("mean", "min", "max", "median", "std"):
-            fh.write(f"{stat},{getattr(report, stat)!r}\n")
+    folds_path, summary_path = out_dir / "folds.csv", out_dir / "summary.csv"
+    _write_csv(folds_path, zip(report.fold_names, report.fold_scores),
+               header=("fold", "balanced_accuracy"))
+    stats = ("mean", "min", "max", "median", "std")
+    _write_csv(summary_path, ((s, getattr(report, s)) for s in stats),
+               header=("statistic", "value"))
     _log(f"wrote {folds_path} and {summary_path}")
     print(report.summary_table())
     return 0
@@ -188,13 +189,11 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     rows = bench_denoise(sizes, _noise_model(args), args.k, baseline=args.baseline,
                          n_mz=args.n_mz, n_peaks=args.n_peaks, seed=args.seed)
-    with open(args.out, "w") as fh:
-        fh.write("size,pixels,seconds,seconds_per_pixel,ratio_vs_first\n")
-        first = rows[0].seconds
-        for r in rows:
-            fh.write(f"{r.size},{r.pixels},{r.seconds!r},{r.seconds_per_pixel!r},"
-                     f"{r.seconds / first!r}\n")
-        _log(f"size {rows[-1].size}: {rows[-1].seconds:.2f}s")
+    first = rows[0].seconds
+    _write_csv(args.out, ((r.size, r.pixels, r.seconds, r.seconds_per_pixel,
+                           r.seconds / first) for r in rows),
+               header=("size", "pixels", "seconds", "seconds_per_pixel", "ratio_vs_first"))
+    _log(f"size {rows[-1].size}: {rows[-1].seconds:.2f}s")
     _log(f"wrote {args.out}")
     return 0
 

@@ -176,11 +176,21 @@ def load_spectrum_csv(path) -> Spectrum:
     return Spectrum(mz, np.array([r[1] for r in rows]))
 
 
+def _write_csv(path, rows, header=None) -> None:
+    """Write ``header`` (if given), then ``rows``, as comma-joined ``str`` fields.
+
+    ``str`` of a Python float is the shortest repr that reads back to it.
+    """
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(map(str, header)) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Write a spectrum as headerless ``mz,intensity`` rows (round-trips exactly)."""
-    with open(path, "w", newline="") as fh:
-        for mz, inten in zip(spectrum.mz.tolist(), spectrum.intensity.tolist()):
-            fh.write(f"{mz!r},{inten!r}\n")
+    _write_csv(path, zip(spectrum.mz.tolist(), spectrum.intensity.tolist()))
 
 
 def load_dataset_csv(spectra_path, labels_path) -> LabeledDataset:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
+
+from .core import _write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +44,7 @@ class PersistenceDiagram:
 
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
     """Write one ``birth,death`` row per diagram point."""
-    with open(path, "w", newline="") as fh:
-        for b, d in diagram.points:
-            fh.write(f"{b!r},{d!r}\n")
+    _write_csv(path, diagram.points)
 
 
 def _covers(adj: np.ndarray) -> bool:

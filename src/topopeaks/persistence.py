@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Spectrum
+from .core import Spectrum, _write_csv
 from .diagram import PersistenceDiagram
 
 
@@ -331,16 +331,12 @@ def _topk_vectors(rows: np.ndarray, k: float) -> np.ndarray:
 
 def write_triples_csv(triples, mz: np.ndarray, path) -> None:
     """Feature CSV: ``position_index,mz,birth,death,persistence`` per feature."""
-    with open(path, "w", newline="") as fh:
-        fh.write("position_index,mz,birth,death,persistence\n")
-        for t in triples:
-            fh.write(f"{t.position},{float(mz[t.position])!r},{t.birth!r},"
-                     f"{t.death!r},{t.birth - t.death!r}\n")
+    _write_csv(path, ((t.position, float(mz[t.position]), t.birth, t.death,
+                       t.birth - t.death) for t in triples),
+               header=("position_index", "mz", "birth", "death", "persistence"))
 
 
 def write_pairs_csv(pairs, mz: np.ndarray, path) -> None:
     """Reduced feature CSV: ``position_index,mz,persistence`` per feature."""
-    with open(path, "w", newline="") as fh:
-        fh.write("position_index,mz,persistence\n")
-        for p in pairs:
-            fh.write(f"{p.position},{float(mz[p.position])!r},{p.persistence!r}\n")
+    _write_csv(path, ((p.position, float(mz[p.position]), p.persistence) for p in pairs),
+               header=("position_index", "mz", "persistence"))

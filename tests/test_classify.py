@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +436,33 @@ class TestGroupFolds:
         assert set(garr[train]) == {"1", "2"}  # not lexicographic {"1", "10"}
         assert set(garr[test]) == {"10", "3"}
 
+    def test_numeric_ties_and_nan_order_by_text(self):
+        names = [f[0] for f in group_folds(["nan", "1.0", "2", "01", "1", "b", "a"],
+                                           "leave-one-group-out")]
+        assert names == ["01", "1", "1.0", "2", "a", "b", "nan"]
+        _, train, _ = group_folds(["0", "1", "01"], "two-fold-AB")[0]
+        assert train.tolist() == [0, 2]
+
+    def test_order_does_not_depend_on_hash_seed(self):
+        # ids that tie as numbers ("1", "01") or never compare ("nan") must not
+        # leave the fold order to set iteration, which string hashing drives
+        script = (
+            "import json, sys\n"
+            "from topopeaks import group_folds\n"
+            "cases = [['0', '1', '01'], ['nan', '2', '1', '3'], ['1.0', 'x', '1', 'nan', '01']]\n"
+            "out = [[(name, train.tolist()) for name, train, _ in group_folds(g, scheme)]\n"
+            "       for g in cases for scheme in ('leave-one-group-out', 'two-fold-AB')]\n"
+            "json.dump(out, sys.stdout)\n"
+        )
+        src = str(Path(classify_module.__file__).resolve().parents[1])
+        runs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs.add(json.dumps(json.loads(done.stdout)))
+        assert len(runs) == 1
+
     def test_odd_group_count_puts_extra_in_a(self):
         folds = group_folds(["a", "b", "c"], "two-fold-AB")
         garr = np.array(["a", "b", "c"])
@@ -518,8 +550,8 @@ class TestGroupCV:
             poisoned[test_idx] = 1e6
             pds = type(ds)(mz=ds.mz, intensities=poisoned, labels=ds.labels, groups=ds.groups)
 
-            Z_clean = build_matrix(ds.subset(train_idx), 50).values
-            Z_dirty = build_matrix(pds.subset(train_idx), 50).values
+            Z_clean = build_matrix(ds.subset(train_idx), 50)
+            Z_dirty = build_matrix(pds.subset(train_idx), 50)
             np.testing.assert_array_equal(Z_clean, Z_dirty)
 
             y_train = ds.labels[train_idx]
@@ -562,7 +594,7 @@ class TestGroupCV:
         monkeypatch.setattr(classify_module, "predict_logistic", predict_spy)
         ds = two_class_dataset(n=32, q=30, seed=27, n_groups=4)
         group_cv(ds, "leave-one-group-out", "logistic", 40)
-        expected = [build_matrix(ds.subset(idx), 40).values
+        expected = [build_matrix(ds.subset(idx), 40)
                     for _, train_idx, test_idx in group_folds(ds.groups, "leave-one-group-out")
                     for idx in (train_idx, test_idx)]
         assert len(seen) == len(expected) == 8

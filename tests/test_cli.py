@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import two_class_dataset
 
-from topopeaks.cli import main
+from topopeaks.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_spectrum(path, rows="1,0\n2,2\n3,1\n4,3\n5,0\n"):
@@ -51,6 +57,22 @@ class TestArgumentHandling:
         for name in ("transform", "classify", "simulate", "denoise", "bench"):
             assert name in out
 
+    def test_readme_examples_parse(self):
+        examples = []
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv and argv[0] == "topopeaks":
+                    examples.append(argv[1:])
+        assert {argv[0] for argv in examples} == {
+            "transform", "classify", "simulate", "denoise", "bench"}
+        parser = _build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: topopeaks {shlex.join(argv)}")
+
     def test_subcommand_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--help"])
@@ -82,6 +104,19 @@ class TestTransformCommand:
         assert len(lines) == 2  # ceil(0.3 * 2) = 1 feature
         assert lines[1].startswith("3,4.0,3.0,0.0,3.0")
 
+    @pytest.mark.parametrize("rows, expected", [
+        # the taller peak is written first, though it lies to the right
+        ("1,0\n2,2\n3,1\n4,3\n5,0\n", ["3,4.0,3.0,0.0,3.0", "1,2.0,2.0,1.0,1.0"]),
+        # equal births: the smaller position first
+        ("1,0\n2,2\n3,1\n4,2\n5,0\n", ["1,2.0,2.0,0.0,2.0", "3,4.0,2.0,1.0,1.0"]),
+    ])
+    def test_triples_sorted_by_descending_birth(self, tmp_path, rows, expected):
+        out = tmp_path / "features.csv"
+        rc = main(["transform", "--in", write_spectrum(tmp_path / "s.csv", rows),
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[1:] == expected
+
     def test_reduced_output(self, tmp_path):
         out = tmp_path / "reduced.csv"
         rc = main(["transform", "--in", write_spectrum(tmp_path / "s.csv"),
@@ -90,6 +125,7 @@ class TestTransformCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "position_index,mz,persistence"
         assert all(line.count(",") == 2 for line in lines)
+        assert lines[1:] == ["1,2.0,1.0", "3,4.0,3.0"]  # axis order, unlike the triples
 
     def test_diagram_file(self, tmp_path):
         out = tmp_path / "features.csv"
@@ -258,6 +294,13 @@ class TestBenchCommand:
     def test_bad_sizes_exit_1(self, tmp_path):
         rc = main(["bench", "--out", str(tmp_path / "t.csv"), "--sizes", "big"])
         assert rc == 1
+
+    def test_size_flag_rejected(self, tmp_path):
+        # bench takes its sizes from --sizes; --size belongs to simulate/denoise
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--out", str(tmp_path / "t.csv"), "--sizes", "8", "--size", "3"])
+        assert exc.value.code == 1
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_every_subcommand_is_deterministic(tmp_path):

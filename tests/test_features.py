@@ -48,11 +48,12 @@ class TestToPersistenceVector:
 class TestBuildMatrix:
     def test_single_spectrum_all_peaks(self):
         m = build_matrix(one_row_dataset([0, 2, 1, 3, 0]), 100)
-        np.testing.assert_array_equal(m.values, [[0.0, 1.0, 0.0, 3.0, 0.0]])
+        assert type(m) is np.ndarray and m.dtype == np.float64  # a plain array
+        np.testing.assert_array_equal(m, [[0.0, 1.0, 0.0, 3.0, 0.0]])
 
     def test_single_spectrum_half(self):
         m = build_matrix(one_row_dataset([0, 2, 1, 3, 0]), 50)
-        np.testing.assert_array_equal(m.values, [[0.0, 0.0, 0.0, 3.0, 0.0]])
+        np.testing.assert_array_equal(m, [[0.0, 0.0, 0.0, 3.0, 0.0]])
 
     def test_empty_dataset(self):
         ds = LabeledDataset(
@@ -62,7 +63,7 @@ class TestBuildMatrix:
             groups=(),
         )
         m = build_matrix(ds, 100)
-        assert m.values.shape == (0, 2)
+        assert m.shape == (0, 2)
 
     def test_row_sparsity_is_ceil_k_m(self):
         ds = two_class_dataset(n=12, q=50, seed=5)
@@ -71,12 +72,12 @@ class TestBuildMatrix:
             for i in range(ds.n):
                 pairs = reduce(transform(ds.spectrum(i)))
                 expect = math.ceil(k * len(pairs) / 100.0)
-                assert int(np.count_nonzero(m.values[i])) == expect
+                assert int(np.count_nonzero(m[i])) == expect
 
     def test_support_nested_in_k(self):
         ds = two_class_dataset(n=8, q=40, seed=6)
-        small = build_matrix(ds, 20).values != 0
-        large = build_matrix(ds, 80).values != 0
+        small = build_matrix(ds, 20) != 0
+        large = build_matrix(ds, 80) != 0
         assert np.all(large[small])
 
     def test_rows_match_manual_composition(self):
@@ -85,7 +86,7 @@ class TestBuildMatrix:
         for i in range(ds.n):
             pairs = filter_top_k(reduce(transform(ds.spectrum(i))), 40)
             np.testing.assert_array_equal(
-                m.values[i], to_persistence_vector(pairs, ds.q)
+                m[i], to_persistence_vector(pairs, ds.q)
             )
 
     def test_k_validated(self):
@@ -95,13 +96,14 @@ class TestBuildMatrix:
     def test_matrix_is_read_only(self):
         m = build_matrix(one_row_dataset([0, 2, 0]), 100)
         with pytest.raises(ValueError):
-            m.values[0, 0] = 5.0
+            m[0, 0] = 5.0
 
 
 class TestMatrixCsv:
     def test_layout(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_matrix_csv(build_matrix(one_row_dataset([0, 2, 1, 3, 0]), 100), path)
+        ds = one_row_dataset([0, 2, 1, 3, 0])
+        write_matrix_csv(build_matrix(ds, 100), ds.mz, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "1.0,2.0,3.0,4.0,5.0"
         assert lines[1] == "0.0,1.0,0.0,3.0,0.0"
@@ -109,8 +111,19 @@ class TestMatrixCsv:
     def test_one_row_per_spectrum(self, tmp_path):
         ds = two_class_dataset(n=5, q=30, seed=10)
         path = tmp_path / "m.csv"
-        write_matrix_csv(build_matrix(ds, 50), path)
+        write_matrix_csv(build_matrix(ds, 50), ds.mz, path)
         assert len(path.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("values, mz", [
+        (np.ones((1, 3)), [1.0, 2.0]),        # one column too many
+        (np.ones(3), [1.0, 2.0, 3.0]),        # not a matrix
+        (np.ones((1, 3)), [3.0, 2.0, 2.0]),   # not an m/z axis
+    ])
+    def test_shape_and_axis_checked(self, tmp_path, values, mz):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError):
+            write_matrix_csv(values, mz, path)
+        assert not path.exists()
 
 
 def test_vector_positions_match_extrema_subset():
@@ -119,6 +132,6 @@ def test_vector_positions_match_extrema_subset():
     for _ in range(30):
         vals = rng.uniform(0, 9, size=60)
         s = mk(vals)
-        vec = build_matrix(one_row_dataset(vals), 25).values[0]
+        vec = build_matrix(one_row_dataset(vals), 25)[0]
         max_positions = set(detect_extrema(s).maxima)
         assert set(np.flatnonzero(vec).tolist()) <= max_positions
