@@ -23,14 +23,14 @@ from .features import build_matrix
 
 _TOL = 1e-8  # fit_logistic stops once the gradient's max-norm is at most this
 _MAX_ITER = 200  # and after this many Newton steps at most
+_THRESHOLD = 0.5  # class 1 when the probability is above this
 
 
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
-    """Fitted logistic regression: beta[0] is the intercept."""
+    """Fitted logistic regression: beta[0] is the intercept; classes cut at p > 0.5."""
 
     beta: np.ndarray
-    threshold: float = 0.5
     status: str = "converged"
     n_iter: int = 0
 
@@ -39,8 +39,6 @@ class LogisticModel:
         beta.flags.writeable = False
         if beta.ndim != 1 or not np.all(np.isfinite(beta)):
             raise ValueError("beta must be a finite vector")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         object.__setattr__(self, "beta", beta)
 
 
@@ -80,16 +78,15 @@ def _as_binary(y, n: int) -> np.ndarray:
     return y
 
 
-def fit_logistic(Z, y, *, threshold: float = 0.5) -> LogisticModel:
+def fit_logistic(Z, y) -> LogisticModel:
     """Maximum-likelihood logistic regression by damped Newton iteration.
 
     The unpenalised log-likelihood sum(y*eta - log(1 + exp(eta))) is maximised
     with step-halving whenever a full Newton step would decrease it. Iteration
     stops once the gradient's max-norm is at most ``_TOL`` or after
     ``_MAX_ITER`` steps; a fit whose final coefficients classify the training
-    data perfectly at ``threshold`` is flagged ``"separated"``, since the
-    likelihood then has no interior maximum. The model keeps ``threshold``
-    for :func:`predict_logistic`.
+    data perfectly at ``_THRESHOLD`` (0.5) is flagged ``"separated"``, since
+    the likelihood then has no interior maximum.
     """
     Z = _as_matrix(Z)
     n = Z.shape[0]
@@ -126,14 +123,14 @@ def fit_logistic(Z, y, *, threshold: float = 0.5) -> LogisticModel:
     # Perfect training classification means the data is separable (scaling
     # beta then pushes the likelihood to its supremum), so the "stationary
     # point" the tolerance found is saturation, not an interior maximum.
-    preds = (_expit(X @ beta) > threshold).astype(np.float64)
+    preds = (_expit(X @ beta) > _THRESHOLD).astype(np.float64)
     if np.array_equal(preds, y):
         status = "separated"
     elif converged:
         status = "converged"
     else:
         status = "max_iter"
-    return LogisticModel(beta, threshold, status, n_iter)
+    return LogisticModel(beta, status, n_iter)
 
 
 def _as_rows(z, width: int) -> tuple[np.ndarray, bool]:
@@ -145,28 +142,19 @@ def _as_rows(z, width: int) -> tuple[np.ndarray, bool]:
 
 
 def predict_logistic(model: LogisticModel, z):
-    """Probability of class 1 and the thresholded class (1 when p > threshold).
+    """Probability of class 1 and the thresholded class (1 when p > 0.5).
 
     ``z`` is one feature row, giving a float and an int, or a matrix with one
     row per sample, giving an array of probabilities and an array of classes.
     """
     Z, one_row = _as_rows(z, model.beta.size - 1)
     p = _expit(model.beta[0] + Z @ model.beta[1:])
-    c = (p > model.threshold).astype(np.int64)
+    c = (p > _THRESHOLD).astype(np.int64)
     return (float(p[0]), int(c[0])) if one_row else (p, c)
 
 
 # ---------------------------------------------------------------------------
 # random forest
-
-
-def gini(labels) -> float:
-    """Gini impurity of a set of binary labels (0.0 for an empty or pure set)."""
-    y = np.asarray(labels, dtype=np.float64)
-    if y.size == 0:
-        return 0.0
-    p1 = y.mean()
-    return float(1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1))
 
 
 @dataclass
@@ -290,25 +278,17 @@ def predict_forest(model: ForestModel, z):
     """Majority vote over the trees; an exact tie goes to class 0.
 
     ``z`` is one feature row, giving an int, or a matrix with one row per
-    sample, giving an array of classes. Each tree routes all rows at once:
-    every node splits the rows that reach it, and every leaf casts its vote
-    for them.
+    sample, giving an array of classes. Each row walks down each tree, left
+    when its value is at most the node's threshold (so ``nan`` goes right),
+    to a leaf that votes 1 when it holds more class-1 than class-0 samples.
     """
     Z, one_row = _as_rows(z, model.n_features)
     ones = np.zeros(Z.shape[0], dtype=np.int64)
-    for tree in model.trees:
-        stack = [(tree, np.arange(Z.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if node.counts is not None:
-                if node.counts[1] > node.counts[0]:
-                    ones[rows] += 1
-                continue
-            left = Z[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[left]))
-            stack.append((node.right, rows[~left]))
+    for i, row in enumerate(Z.tolist()):
+        for node in model.trees:
+            while node.counts is None:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            ones[i] += node.counts[1] > node.counts[0]
     preds = (ones > len(model.trees) - ones).astype(np.int64)
     return int(preds[0]) if one_row else preds
 

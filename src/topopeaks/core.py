@@ -18,6 +18,13 @@ def _frozen_f64(a) -> np.ndarray:
     return out
 
 
+def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(a < 0):
+        raise ValueError(f"{what} must be non-negative")
+
+
 def _mz_axis(mz) -> np.ndarray:
     """Frozen copy of an m/z axis: one-dimensional, non-empty, finite, strictly increasing."""
     mz = _frozen_f64(mz)
@@ -46,10 +53,7 @@ class Spectrum:
             raise ValueError(
                 f"mz and intensity lengths differ: {mz.size} != {intensity.size}"
             )
-        if not np.all(np.isfinite(intensity)):
-            raise ValueError("intensities must be finite")
-        if np.any(intensity < 0):
-            raise ValueError("intensities must be non-negative")
+        _check_finite_nonnegative(intensity, "intensities")
         object.__setattr__(self, "mz", mz)
         object.__setattr__(self, "intensity", intensity)
 
@@ -80,10 +84,7 @@ class MSImage:
                 f"spectra must have shape {(self.width * self.height, mz.size)}, "
                 f"got {spectra.shape}"
             )
-        if not np.all(np.isfinite(spectra)):
-            raise ValueError("intensities must be finite")
-        if np.any(spectra < 0):
-            raise ValueError("intensities must be non-negative")
+        _check_finite_nonnegative(spectra, "intensities")
         object.__setattr__(self, "mz", mz)
         object.__setattr__(self, "spectra", spectra)
 
@@ -110,8 +111,7 @@ class LabeledDataset:
         groups = tuple(str(g) for g in self.groups)
         if intensities.ndim != 2 or intensities.shape[1] != mz.size:
             raise ValueError(f"intensities must have shape (n, {mz.size})")
-        if not np.all(np.isfinite(intensities)) or np.any(intensities < 0):
-            raise ValueError("intensities must be finite and non-negative")
+        _check_finite_nonnegative(intensities, "intensities")
         n = intensities.shape[0]
         if labels.shape != (n,):
             raise ValueError(f"expected {n} labels, got {labels.shape}")
@@ -136,7 +136,10 @@ class LabeledDataset:
         return Spectrum(self.mz, self.intensities[i])
 
     def subset(self, idx) -> "LabeledDataset":
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64)
         groups = tuple(self.groups[i] for i in idx)
         return LabeledDataset(self.mz, self.intensities[idx], self.labels[idx], groups)
 
@@ -257,8 +260,7 @@ def write_pgm(grid, path) -> None:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError("grid must be two-dimensional")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
-        raise ValueError("grid values must be finite and non-negative")
+    _check_finite_nonnegative(grid, "grid values")
     lo = grid.min()
     span = grid.max() - lo
     if span == 0:

@@ -22,7 +22,8 @@ class PersistenceDiagram:
     def __post_init__(self):
         pts = []
         for p in self.points:
-            b, d = float(p[0]), float(p[1])
+            b, d = p  # a ValueError unless the point holds exactly two values
+            b, d = float(b), float(d)
             if not (np.isfinite(b) and np.isfinite(d)):
                 raise ValueError("diagram points must be finite")
             if b < d:

@@ -20,7 +20,6 @@ from topopeaks import (
     build_matrix,
     fit_forest,
     fit_logistic,
-    gini,
     group_cv,
     group_folds,
     predict_forest,
@@ -64,6 +63,38 @@ def reference_best_split(X, y, idx, feats, min_leaf):
             thr = float(xv[cut[i] - 1] + xv[cut[i]]) / 2.0
             best = (float(g[i]), int(f), thr)
     return best
+
+
+def reference_predict_forest(model, z):
+    """Node-by-node routing: every node splits the row indices that reach it."""
+    Z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    ones = np.zeros(Z.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        stack = [(tree, np.arange(Z.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if rows.size == 0:
+                continue
+            if node.counts is not None:
+                if node.counts[1] > node.counts[0]:
+                    ones[rows] += 1
+                continue
+            left = Z[rows, node.feature] <= node.threshold
+            stack.append((node.left, rows[left]))
+            stack.append((node.right, rows[~left]))
+    preds = (ones > len(model.trees) - ones).astype(np.int64)
+    return int(preds[0]) if np.ndim(z) == 1 else preds
+
+
+def split_nodes(model):
+    """(feature, threshold) of every split node of every tree."""
+    out, stack = [], list(model.trees)
+    while stack:
+        node = stack.pop()
+        if node.counts is None:
+            out.append((node.feature, node.threshold))
+            stack += [node.left, node.right]
+    return out
 
 
 def tied_problem(rng, n, q):
@@ -186,31 +217,11 @@ class TestPredictLogistic:
         m = fit_logistic(Z, y)
         beta2 = m.beta.copy()
         beta2[2] /= 4.0
-        m2 = LogisticModel(beta2, m.threshold, m.status, m.n_iter)
+        m2 = LogisticModel(beta2, m.status, m.n_iter)
         for row in Z[:5]:
             scaled = row.copy()
             scaled[1] *= 4.0
             assert predict_logistic(m2, scaled) == predict_logistic(m, row)
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
-            LogisticModel(np.zeros(2), threshold=1.0)
-
-
-class TestGini:
-    def test_pure(self):
-        assert gini([1, 1, 1]) == 0.0
-        assert gini([0]) == 0.0
-
-    def test_even_split(self):
-        assert gini([0, 1]) == 0.5
-        assert gini([0, 0, 1, 1]) == 0.5
-
-    def test_quarter(self):
-        assert gini([1, 0, 0, 0]) == pytest.approx(0.375)
-
-    def test_empty(self):
-        assert gini([]) == 0.0
 
 
 class TestFitForest:
@@ -371,6 +382,37 @@ class TestPredictForest:
             assert preds.shape == (X.shape[0],)
             assert preds.tolist() == [predict_forest(m, row) for row in X]
         assert predict_forest(m, Z[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_walk_matches_node_routing(self, min_leaf, bootstrap):
+        rng = np.random.default_rng(60 + min_leaf)
+        coarse = rng.integers(0, 3, size=(40, 6)).astype(float)
+        coarse[:, [1, 4]] = 2.0  # constant columns
+        problems = [tied_problem(rng, 60, 8),
+                    (coarse, (coarse[:, 0] + rng.integers(0, 2, size=40) > 1).astype(int))]
+        for Z, y in problems:
+            m = fit_forest(Z, y, n_trees=25, min_leaf=min_leaf, bootstrap=bootstrap, seed=4)
+            splits = split_nodes(m)
+            assert splits  # the forest has split nodes to land on
+            on = np.repeat(Z[:1], len(splits), axis=0)
+            for i, (f, thr) in enumerate(splits):
+                on[i, f] = thr  # exactly on one threshold
+            on_all = Z[rng.integers(0, Z.shape[0], size=20)].copy()
+            for f, thr in splits:
+                on_all[rng.integers(0, 20), f] = thr  # on several at once
+            odd = np.round(rng.normal(size=(30, Z.shape[1])) * 2.0) / 2.0
+            odd[rng.random(odd.shape) < 0.3] = np.nan
+            odd[rng.random(odd.shape) < 0.1] = np.inf
+            odd[rng.random(odd.shape) < 0.1] = -np.inf
+            fresh = rng.normal(size=(30, Z.shape[1]))
+            for X in (Z, fresh, on, on_all, odd, Z[:0]):
+                got = predict_forest(m, X)
+                assert got.dtype == np.int64
+                assert got.tolist() == reference_predict_forest(m, X).tolist()
+            for row in (Z[0], on[0], odd[0]):
+                got = predict_forest(m, row)
+                assert type(got) is int and got == reference_predict_forest(m, row)
 
 
 class TestBalancedAccuracy:

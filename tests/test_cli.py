@@ -73,6 +73,21 @@ class TestArgumentHandling:
             except SystemExit:
                 pytest.fail(f"README example does not parse: topopeaks {shlex.join(argv)}")
 
+    def test_readme_python_blocks_run(self, tmp_path, monkeypatch):
+        # the library sketch reads spectra.csv and labels.csv from the working directory
+        write_dataset(two_class_dataset(n=24, q=30, seed=12), tmp_path)
+        monkeypatch.chdir(tmp_path)
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        assert len(blocks) >= 2
+        namespaces = []
+        for block in blocks:
+            namespaces.append({})
+            exec(compile(block, "README.md", "exec"), namespaces[-1])
+        first = namespaces[0]
+        assert first["triples"] == [(3, 3.0, 0.0), (1, 2.0, 1.0)]
+        assert first["pairs"] == [(3, 3.0), (1, 1.0)]
+        assert first["bottleneck_distance"](first["d"], first["d"]) == 0.0
+
     def test_subcommand_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--help"])

@@ -107,6 +107,31 @@ class TestLabeledDataset:
         assert sub.groups == ("b", "a")
         np.testing.assert_array_equal(sub.intensities[0], [6.0, 7.0])
 
+    def test_subset_takes_integer_positions_only(self):
+        ds = LabeledDataset(
+            mz=np.array([1.0]),
+            intensities=np.ones((3, 1)),
+            labels=np.array([0, 1, 0]),
+            groups=("a", "b", "c"),
+        )
+        # a boolean mask must not be read as the row numbers 1, 0, 1
+        for idx in ([True, False, True], np.array([True, False, True]), [0.0, 2.0]):
+            with pytest.raises(ValueError, match="integers"):
+                ds.subset(idx)
+        assert ds.subset(np.array([2, 0], dtype=np.uint8)).groups == ("c", "a")
+        empty = ds.subset([])
+        assert empty.n == 0 and empty.groups == ()
+
+    @pytest.mark.parametrize("bad,msg", [(np.nan, "must be finite"), (-1.0, "must be non-negative")])
+    def test_intensities_checked(self, bad, msg):
+        with pytest.raises(ValueError, match=msg):
+            LabeledDataset(
+                mz=np.array([1.0, 2.0]),
+                intensities=np.array([[1.0, bad]]),
+                labels=np.array([0]),
+                groups=("a",),
+            )
+
     def test_label_values_checked(self):
         with pytest.raises(ValueError, match="0 or 1"):
             LabeledDataset(
@@ -243,3 +268,8 @@ class TestPgm:
     def test_rejects_negative(self, tmp_path):
         with pytest.raises(ValueError, match="non-negative"):
             write_pgm(np.array([[-1.0, 2.0]]), tmp_path / "img.pgm")
+
+    def test_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            write_pgm(np.array([[np.inf, 2.0]]), tmp_path / "img.pgm")
+        assert not (tmp_path / "img.pgm").exists()

@@ -150,6 +150,11 @@ class TestPersistenceDiagram:
         with pytest.raises(ValueError, match="birth 1.0 below death 2.0"):
             PersistenceDiagram(((1.0, 2.0),))
 
+    @pytest.mark.parametrize("point", [(3.0, 1.0, 99.0), (3.0,), (), np.array([3.0, 1.0, 0.5])])
+    def test_point_must_be_a_pair(self, point):
+        with pytest.raises(ValueError, match="unpack"):
+            PersistenceDiagram(((2.0, 1.0), point))
+
     def test_csv(self, tmp_path):
         path = tmp_path / "d.csv"
         write_diagram_csv(PersistenceDiagram(((3.0, 0.0), (2.0, 1.0))), path)
