@@ -61,6 +61,21 @@ def _score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return X.T @ (y - _expit(X @ beta))
 
 
+def _gain(y: np.ndarray, eta: np.ndarray, p: np.ndarray, d: np.ndarray) -> float:
+    """Change of the log-likelihood when the linear predictor eta moves by d.
+
+    ``p`` is expit(eta). Each row's log(1 + e^(eta + d)) - log(1 + e^eta) is
+    taken as log1p(p * expm1(d)) where |d| <= 1, so the change keeps its own
+    relative precision: near the optimum a Newton step moves the likelihood
+    by less than one rounding unit of its value, and a difference of two
+    rounded likelihoods would only compare rounding errors.
+    """
+    small = np.abs(d) <= 1.0
+    soft = np.where(small, np.log1p(p * np.expm1(np.where(small, d, 0.0))),
+                    np.logaddexp(0.0, eta + d) - np.logaddexp(0.0, eta))
+    return float(y @ d - soft.sum())
+
+
 def _as_matrix(Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
@@ -82,11 +97,20 @@ def fit_logistic(Z, y) -> LogisticModel:
     """Maximum-likelihood logistic regression by damped Newton iteration.
 
     The unpenalised log-likelihood sum(y*eta - log(1 + exp(eta))) is maximised
-    with step-halving whenever a full Newton step would decrease it. Iteration
-    stops once the gradient's max-norm is at most ``_TOL`` or after
-    ``_MAX_ITER`` steps; a fit whose final coefficients classify the training
-    data perfectly at ``_THRESHOLD`` (0.5) is flagged ``"separated"``, since
-    the likelihood then has no interior maximum.
+    with step-halving whenever a full Newton step would decrease it (the
+    change is computed by ``_gain``). Iteration stops once the gradient's
+    max-norm is at most ``_TOL`` or after ``_MAX_ITER`` steps; a fit whose
+    final coefficients classify the training data perfectly at ``_THRESHOLD``
+    (0.5) is flagged ``"separated"``, since the likelihood then has no
+    interior maximum.
+
+    Newton runs in the row space of X = [1, Z] (Hastie & Tibshirani,
+    Biostatistics 2004). From beta = 0 every minimum-norm Newton step lies in
+    that space, so one thin SVD X = U S V' gives the same iteration on the
+    n x r matrix R = U S (r = min(n, q + 1)) with beta = V a: each step solves
+    an r x r system instead of a (q + 1) x (q + 1) one, and moves the linear
+    predictor by R times the step. beta is the minimum-norm solution in the
+    row space of X; the stopping test uses the full gradient X'(y - p).
     """
     Z = _as_matrix(Z)
     n = Z.shape[0]
@@ -94,43 +118,44 @@ def fit_logistic(Z, y) -> LogisticModel:
         raise ValueError("cannot fit on an empty dataset")
     y = _as_binary(y, n)
     X = np.column_stack([np.ones(n), Z])
-    beta = np.zeros(X.shape[1])
-    ll = _loglik(X, y, beta)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    R = U * s
+    a = np.zeros(s.size)
+    eta = np.zeros(n)
+    p = _expit(eta)
     n_iter = 0
     converged = False
     for it in range(_MAX_ITER):
-        p = _expit(X @ beta)
-        g = _score(X, y, beta)
-        if np.max(np.abs(g)) <= _TOL:
+        resid = y - p
+        if np.max(np.abs(X.T @ resid)) <= _TOL:
             converged = True
             break
         n_iter = it + 1
         w = p * (1.0 - p)
-        H = X.T @ (X * w[:, None])
-        step = np.linalg.lstsq(H, g, rcond=None)[0]
-        scale = 1.0
+        H = R.T @ (R * w[:, None])
+        step = np.linalg.lstsq(H, R.T @ resid, rcond=None)[0]
         improved = False
         for _ in range(50):
-            cand = beta + scale * step
-            cand_ll = _loglik(X, y, cand)
-            if cand_ll >= ll:
-                beta, ll = cand, cand_ll
+            d = R @ step
+            if _gain(y, eta, p, d) >= 0.0:
+                a, eta = a + step, eta + d
+                p = _expit(eta)
                 improved = True
                 break
-            scale /= 2.0
+            step = step / 2.0
         if not improved:
             break
     # Perfect training classification means the data is separable (scaling
     # beta then pushes the likelihood to its supremum), so the "stationary
     # point" the tolerance found is saturation, not an interior maximum.
-    preds = (_expit(X @ beta) > _THRESHOLD).astype(np.float64)
+    preds = (p > _THRESHOLD).astype(np.float64)
     if np.array_equal(preds, y):
         status = "separated"
     elif converged:
         status = "converged"
     else:
         status = "max_iter"
-    return LogisticModel(beta, status, n_iter)
+    return LogisticModel(a @ Vt, status, n_iter)
 
 
 def _as_rows(z, width: int) -> tuple[np.ndarray, bool]:
@@ -354,11 +379,16 @@ def group_folds(groups, scheme: str) -> list[tuple[str, np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class CVReport:
-    """Per-fold balanced accuracies with summary statistics (std uses n-1)."""
+    """Per-fold balanced accuracies with summary statistics (std uses n-1).
+
+    ``fit_status`` holds each scored fold's logistic status (empty for the
+    forest).
+    """
 
     fold_names: tuple[str, ...]
     fold_scores: tuple[float, ...]
     skipped: tuple[str, ...] = ()
+    fit_status: tuple[str, ...] = ()
     mean: float = field(init=False, default=0.0)
     min: float = field(init=False, default=0.0)
     max: float = field(init=False, default=0.0)
@@ -368,6 +398,8 @@ class CVReport:
     def __post_init__(self):
         if len(self.fold_names) != len(self.fold_scores) or not self.fold_scores:
             raise ValueError("need one name per score and at least one fold")
+        if self.fit_status and len(self.fit_status) != len(self.fold_scores):
+            raise ValueError("need one fit status per scored fold, or none")
         a = np.asarray(self.fold_scores, dtype=np.float64)
         object.__setattr__(self, "mean", float(a.mean()))
         object.__setattr__(self, "min", float(a.min()))
@@ -386,6 +418,9 @@ class CVReport:
         lines.append("-" * 41)
         for stat in ("mean", "min", "max", "median", "std"):
             lines.append(f"{stat:<24}{getattr(self, stat):.4f}")
+        if self.fit_status:
+            separated = self.fit_status.count("separated")
+            lines.append(f"{'separated folds':<24}{separated} of {len(self.fit_status)}")
         return "\n".join(lines)
 
 
@@ -398,7 +433,8 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
     fold: each row depends only on its own spectrum, so the slices equal
     matrices built from the fold's training and held-out spectra, and held-out
     rows never reach the fitting step. Folds whose test labels are
-    single-class are skipped with a warning.
+    single-class are skipped with a warning. For the logistic classifier the
+    report carries each scored fold's fit status.
     """
     if classifier not in ("logistic", "forest"):
         raise ValueError(f"unknown classifier {classifier!r}")
@@ -407,6 +443,7 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
     names: list[str] = []
     scores: list[float] = []
     skipped: list[str] = []
+    fit_status: list[str] = []
     for name, train_idx, test_idx in folds:
         y_test = dataset.labels[test_idx]
         if np.all(y_test == 0) or np.all(y_test == 1):
@@ -419,6 +456,7 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
         if classifier == "logistic":
             model = fit_logistic(Z_train, y_train)
             preds = predict_logistic(model, Z_test)[1]
+            fit_status.append(model.status)
         else:
             model = fit_forest(Z_train, y_train, n_trees=n_trees, seed=seed)
             preds = predict_forest(model, Z_test)
@@ -426,4 +464,4 @@ def group_cv(dataset: LabeledDataset, scheme: str, classifier: str, k, *,
         scores.append(balanced_accuracy(y_test, preds))
     if not scores:
         raise ValueError("no usable folds: every test fold was single-class")
-    return CVReport(tuple(names), tuple(scores), tuple(skipped))
+    return CVReport(tuple(names), tuple(scores), tuple(skipped), tuple(fit_status))

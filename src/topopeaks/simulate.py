@@ -8,6 +8,7 @@ spectrum; background pixels hold the flat baseline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "poisson"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.level < 0:
-            raise ValueError("noise level must be non-negative")
+        if not (math.isfinite(self.level) and self.level >= 0):
+            raise ValueError("noise level must be finite and non-negative")
 
 
 def _region_masks(size: int) -> tuple[np.ndarray, np.ndarray]:

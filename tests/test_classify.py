@@ -7,19 +7,26 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import two_class_dataset
+from test_acceptance import _two_class_groups
 
 from topopeaks import (
     CVReport,
+    LabeledDataset,
+    NoiseModel,
+    SimulationSpec,
+    add_noise,
     balanced_accuracy,
     build_matrix,
     fit_forest,
     fit_logistic,
+    generate_ground_truth,
     group_cv,
     group_folds,
     predict_forest,
@@ -30,7 +37,10 @@ from topopeaks.classify import (
     ForestModel,
     LogisticModel,
     TreeNode,
+    _TOL,
     _best_split,
+    _expit,
+    _gain,
     _loglik,
     _score,
 )
@@ -105,6 +115,77 @@ def tied_problem(rng, n, q):
     return Z, y
 
 
+def reference_fit_logistic(Z, y):
+    """Damped Newton with a dense (q+1) x (q+1) lstsq per step, as a reference.
+
+    Step-halving compares two rounded log-likelihoods.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = Z.shape[0]
+    X = np.column_stack([np.ones(n), Z])
+    beta = np.zeros(X.shape[1])
+    ll = _loglik(X, y, beta)
+    n_iter = 0
+    converged = False
+    for it in range(200):
+        p = _expit(X @ beta)
+        g = _score(X, y, beta)
+        if np.max(np.abs(g)) <= _TOL:
+            converged = True
+            break
+        n_iter = it + 1
+        w = p * (1.0 - p)
+        H = X.T @ (X * w[:, None])
+        step = np.linalg.lstsq(H, g, rcond=None)[0]
+        scale = 1.0
+        improved = False
+        for _ in range(50):
+            cand = beta + scale * step
+            cand_ll = _loglik(X, y, cand)
+            if cand_ll >= ll:
+                beta, ll = cand, cand_ll
+                improved = True
+                break
+            scale /= 2.0
+        if not improved:
+            break
+    preds = (_expit(X @ beta) > 0.5).astype(np.float64)
+    if np.array_equal(preds, y):
+        status = "separated"
+    elif converged:
+        status = "converged"
+    else:
+        status = "max_iter"
+    return LogisticModel(beta, status, n_iter)
+
+
+def grad_max(Z, y, beta):
+    """max|X'(y - p)| at beta, X being Z with an intercept column."""
+    X = np.column_stack([np.ones(len(y)), Z])
+    return float(np.max(np.abs(_score(X, np.asarray(y, dtype=np.float64), beta))))
+
+
+def logo_cohort(seed, n=120, q=500, n_groups=4):
+    """The benchmark's classify-logo cohort: 12 shared peaks and one class peak."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(q, dtype=np.float64)
+    centers = np.append(np.linspace(20, q - 20, 12).round(), q // 2 + 7)
+    labels = np.arange(n) % 2
+    heights = np.column_stack([3.0 + rng.normal(0.0, 0.5, (n, 12)),
+                               np.where(labels == 1, 6.0, 2.0) + rng.normal(0.0, 0.3, n)])
+    shapes = np.exp(-0.5 * ((x[None, :] - centers[:, None]) / 1.5) ** 2)
+    spectra = np.maximum(heights @ shapes + rng.normal(0.0, 0.01, (n, q)), 0.0)
+    groups = tuple(f"p{i * n_groups // n}" for i in range(n))
+    return LabeledDataset(np.linspace(100.0, 1100.0, q), spectra, labels, groups)
+
+
+# Largest relative beta difference (max-abs, against the reference's max-abs
+# beta) measured on wide problems: 8.1e-10 on classify-logo folds (cohort
+# seeds 1, 2, 3, 5) and 3.6e-9 on the acceptance cohort's folds.
+BETA_RTOL = 1e-8
+
+
 def fd_gradient(X, y, beta, h=1e-6):
     g = np.zeros_like(beta)
     for j in range(beta.size):
@@ -161,6 +242,22 @@ class TestFitLogistic:
             fd = fd_gradient(X, y, beta)
             assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
+    def test_full_simulator_width_fits_in_seconds(self):
+        # 120 pixel spectra of a simulator image on its 3466-value axis: with a
+        # dense (q+1)^2 solve per Newton step this fit took minutes.
+        image, truth = generate_ground_truth(SimulationSpec(size=11, seed=3))
+        noisy = add_noise(image, NoiseModel("gaussian", 0.1, seed=4))
+        ds = LabeledDataset(noisy.mz, noisy.spectra[:120],
+                            truth.ravel()[:120].astype(int), ("g",) * 120)
+        Z = build_matrix(ds, 25)
+        assert Z.shape == (120, 3466)
+        start = time.perf_counter()
+        m = fit_logistic(Z, ds.labels)
+        elapsed = time.perf_counter() - start
+        assert elapsed <= 10.0, f"took {elapsed:.1f}s"
+        assert m.status == "separated"
+        assert np.array_equal(predict_logistic(m, Z)[1], ds.labels)
+
     def test_accepts_feature_matrix_object(self):
         ds = two_class_dataset(n=16, q=30, seed=1)
         m = fit_logistic(build_matrix(ds, 100), ds.labels)
@@ -173,6 +270,119 @@ class TestFitLogistic:
     def test_label_values_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             fit_logistic(np.zeros((2, 1)), np.array([0, 3]))
+
+
+def assert_same_fit(Z, y):
+    """Row-space fit equals the dense reference: status, steps, predictions, beta."""
+    ref = reference_fit_logistic(Z, y)
+    new = fit_logistic(Z, y)
+    assert (new.status, new.n_iter) == (ref.status, ref.n_iter)
+    np.testing.assert_array_equal(predict_logistic(new, Z)[1], predict_logistic(ref, Z)[1])
+    scale = np.max(np.abs(ref.beta))
+    assert np.max(np.abs(new.beta - ref.beta)) <= BETA_RTOL * scale
+    return new, ref
+
+
+class TestRowSpaceNewton:
+    """fit_logistic against the dense-lstsq Newton it replaced."""
+
+    def test_classify_logo_folds(self):
+        ds = logo_cohort(seed=1)
+        Z = build_matrix(ds, 30)
+        for _, train, test in group_folds(ds.groups, "leave-one-group-out"):
+            new, ref = assert_same_fit(Z[train], ds.labels[train])
+            assert new.status == "separated" and new.n_iter == 23
+            np.testing.assert_array_equal(predict_logistic(new, Z[test])[1],
+                                          predict_logistic(ref, Z[test])[1])
+
+    def test_acceptance_cohort_folds(self):
+        ds = _two_class_groups()
+        Z = build_matrix(ds, 50.0)
+        assert Z.shape[1] + 1 > Z.shape[0] * 3 // 4  # wider than each training set
+        for _, train, test in group_folds(ds.groups, "leave-one-group-out"):
+            new, ref = assert_same_fit(Z[train], ds.labels[train])
+            np.testing.assert_array_equal(predict_logistic(new, Z[test])[1],
+                                          predict_logistic(ref, Z[test])[1])
+
+    def test_random_wide_problems(self):
+        rng = np.random.default_rng(60)
+        for i in range(30):
+            n = int(rng.integers(5, 60))
+            Z = rng.normal(size=(n, int(rng.integers(n, 2 * n + 5))))
+            # half with a label carried by one feature, half with coin flips;
+            # q + 1 > n separates both
+            y = (Z[:, 0] > 0 if i % 2 else rng.uniform(size=n) < 0.5).astype(int)
+            new, _ = assert_same_fit(Z, y)
+            assert new.status == "separated"
+
+    def test_narrow_and_rank_deficient_problems_no_worse(self):
+        # Where the two fits take different paths (the reference's
+        # step-halving compares log-likelihoods that agree to their last
+        # bits), the new fit ends with the same predictions and at least as
+        # small a gradient, or both are within the stopping tolerance.
+        rng = np.random.default_rng(61)
+        for i in range(120):
+            n = int(rng.integers(5, 80))
+            kind = i % 3
+            if kind == 0:  # full rank, noisy labels
+                Z = rng.normal(size=(n, int(rng.integers(1, max(2, n // 2)))))
+                y = Z[:, 0] + rng.normal(size=n) > 0
+            elif kind == 1:  # a doubled column and a zero column
+                Z = rng.normal(size=(n, int(rng.integers(2, 12))))
+                Z[:, 1] = 2.0 * Z[:, 0]
+                Z[:, -1] = 0.0
+                y = rng.uniform(size=n) < 0.5
+            else:  # every column zero
+                Z = np.zeros((n, int(rng.integers(1, 12))))
+                y = rng.uniform(size=n) < 0.5
+            y = y.astype(int)
+            ref = reference_fit_logistic(Z, y)
+            new = fit_logistic(Z, y)
+            np.testing.assert_array_equal(predict_logistic(new, Z)[1],
+                                          predict_logistic(ref, Z)[1])
+            if (new.status, new.n_iter) != (ref.status, ref.n_iter):
+                assert new.status != "max_iter"
+                assert grad_max(Z, y, new.beta) <= max(grad_max(Z, y, ref.beta), _TOL)
+
+    def test_every_intercept_only_problem_converges(self):
+        # The optimum is logit(mean(y)). The reference stalled at max_iter
+        # with the gradient still above the tolerance on 41 of the 1,653
+        # problems with n < 60 (e.g. n=22, k=10): its rounded log-likelihoods
+        # no longer told the Newton step apart from staying put.
+        for n in range(2, 41):
+            for k in range(1, n):
+                y = np.array([1] * k + [0] * (n - k))
+                Z = np.zeros((n, 1))
+                m = fit_logistic(Z, y)
+                assert m.status == "converged" and m.n_iter <= 8, (n, k)
+                assert grad_max(Z, y, m.beta) <= _TOL
+                assert m.beta[0] == pytest.approx(math.log(k / (n - k)), abs=1e-7)
+                assert m.beta[1] == 0.0
+
+
+class TestGain:
+    def test_matches_loglik_difference(self):
+        rng = np.random.default_rng(70)
+        for scale in (1e-3, 0.5, 3.0, 40.0):
+            X = np.column_stack([np.ones(30), rng.normal(size=(30, 4))])
+            y = (rng.uniform(size=30) < 0.5).astype(float)
+            beta = rng.normal(size=5)
+            step = rng.normal(scale=scale, size=5)
+            eta = X @ beta
+            want = _loglik(X, y, beta + step) - _loglik(X, y, beta)
+            got = _gain(y, eta, _expit(eta), X @ step)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_sign_of_a_step_below_loglik_resolution(self):
+        # At the optimum of an intercept-only fit, moving the intercept by
+        # +-h changes the log-likelihood by about -n p (1 - p) h^2 / 2, far
+        # below one rounding unit of its value.
+        y = np.array([1.0] * 7 + [0.0] * 13)
+        eta = np.full(20, math.log(7 / 13))
+        p = _expit(eta)
+        for h in (1e-7, -1e-7, 1e-6):
+            want = -20 * p[0] * (1 - p[0]) * h * h / 2
+            assert _gain(y, eta, p, np.full(20, h)) == pytest.approx(want, rel=1e-6)
 
 
 class TestPredictLogistic:
@@ -544,6 +754,17 @@ class TestCVReport:
         with pytest.raises(ValueError):
             CVReport(("a",), (0.5, 0.6))
 
+    def test_fit_status_one_per_scored_fold_or_none(self):
+        assert CVReport(("a", "b"), (0.5, 1.0)).fit_status == ()
+        with pytest.raises(ValueError, match="fit status"):
+            CVReport(("a", "b"), (0.5, 1.0), fit_status=("separated",))
+
+    def test_summary_table_counts_separated_folds(self):
+        r = CVReport(("a", "b", "c"), (0.5, 1.0, 1.0), skipped=("d",),
+                     fit_status=("converged", "separated", "separated"))
+        assert r.summary_table().splitlines()[-1] == f"{'separated folds':<24}2 of 3"
+        assert "separated" not in CVReport(("a",), (0.5,)).summary_table()
+
 
 class TestGroupCV:
     def test_logistic_end_to_end(self):
@@ -551,6 +772,15 @@ class TestGroupCV:
         report = group_cv(ds, "leave-one-group-out", "logistic", 50)
         assert len(report.fold_scores) == 4
         assert all(0.0 <= s <= 1.0 for s in report.fold_scores)
+
+    def test_fit_status_on_acceptance_cohort(self):
+        ds = _two_class_groups()
+        logistic = group_cv(ds, "leave-one-group-out", "logistic", 50.0)
+        assert logistic.fit_status == ("separated",) * 4
+        assert logistic.summary_table().endswith("separated folds         4 of 4")
+        forest = group_cv(ds, "two-fold-AB", "forest", 50.0, n_trees=5)
+        assert forest.fit_status == ()
+        assert "separated" not in forest.summary_table()
 
     def test_forest_two_fold(self):
         ds = two_class_dataset(n=32, q=30, seed=21, n_groups=4)

@@ -256,6 +256,12 @@ class TestSimulateCommand:
         assert (out_dir / "noisy.pgm").read_bytes() == \
             (out_dir / "ground_truth.pgm").read_bytes()
 
+    def test_nan_sd_exits_1_naming_the_noise_level(self, tmp_path, capsys):
+        rc = main(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "8",
+                   "--n-mz", "400", "--n-peaks", "4", "--sd", "nan"])
+        assert rc == 1
+        assert "noise level must be finite and non-negative" in capsys.readouterr().err
+
     def test_too_small_size_exits_1(self, tmp_path):
         rc = main(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "4"])
         assert rc == 1

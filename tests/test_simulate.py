@@ -52,6 +52,12 @@ class TestSimulationSpec:
         with pytest.raises(ValueError, match="non-negative"):
             NoiseModel(kind="gaussian", level=-1.0)
 
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["gaussian", "poisson"])
+    def test_noise_level_must_be_finite(self, kind, level):
+        with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+            NoiseModel(kind, level)
+
 
 class TestRegionGeometry:
     def test_masks_disjoint_and_nonempty(self):
