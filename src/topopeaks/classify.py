@@ -80,6 +80,8 @@ def _as_matrix(Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("feature matrix must be two-dimensional")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("feature matrix must be finite")
     return Z
 
 
@@ -195,20 +197,16 @@ class TreeNode:
 class ForestModel:
     trees: tuple[TreeNode, ...]
     n_features: int
-    n_trees: int
-    mtry: int
-    min_leaf: int
-    seed: int
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats,
-                min_leaf: int) -> tuple[float, int, float] | None:
+def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
+                feats) -> tuple[float, int, float] | None:
     """Lowest weighted-Gini split over the given (sorted) features.
 
     All features are scored at once: row j holds feature ``feats[j]`` sorted
     over the node's samples, and column c the cut that leaves c + 1 samples
     on the left. Ties go to the smaller feature index, then the smaller
-    threshold. Thresholds sit halfway between consecutive distinct values.
+    threshold. Thresholds follow the rule in :func:`fit_forest`.
     """
     n = idx.size
     xs = X[np.ix_(idx, feats)].T
@@ -223,21 +221,23 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats,
     gl = 1.0 - (l1 / cut) ** 2 - (l0 / cut) ** 2
     gr = 1.0 - (r1 / (n - cut)) ** 2 - (r0 / (n - cut)) ** 2
     g = (cut * gl + (n - cut) * gr) / n
-    g[(xv[:, 1:] == xv[:, :-1]) | (cut < min_leaf) | (n - cut < min_leaf)] = np.inf
+    g[xv[:, 1:] == xv[:, :-1]] = np.inf
     row_best = g.min(axis=1)
     j = int(np.argmin(row_best))  # first minimum: smallest feature wins ties
     if row_best[j] == np.inf:
         return None
     i = int(np.argmin(g[j]))  # first minimum: smallest threshold wins ties
-    thr = float(xv[j, i] + xv[j, i + 1]) / 2.0
-    return float(row_best[j]), int(feats[j]), thr
+    a, b = float(xv[j, i]), float(xv[j, i + 1])
+    mid = (a + b) / 2.0  # Python floats: an overflow gives inf, not a warning
+    return float(row_best[j]), int(feats[j]), mid if a <= mid < b else a
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, start: np.ndarray,
-                rng: np.random.Generator, mtry: int, min_leaf: int) -> TreeNode:
+                rng: np.random.Generator) -> TreeNode:
     # Depth-first, left child first, so the per-split candidate draws happen
     # in a fixed order for a given seed.
     q = X.shape[1]
+    n_cand = math.ceil(math.sqrt(q))
     root = TreeNode()
     stack = [(root, start)]
     while stack:
@@ -245,16 +245,16 @@ def _build_tree(X: np.ndarray, y: np.ndarray, start: np.ndarray,
         ysub = y[idx]
         c1 = int(ysub.sum())
         c0 = idx.size - c1
-        if c0 == 0 or c1 == 0 or idx.size < 2 * min_leaf:
+        if c0 == 0 or c1 == 0:
             node.counts = (c0, c1)
             continue
-        cand = np.sort(rng.choice(q, size=mtry, replace=False))
-        found = _best_split(X, y, idx, cand, min_leaf)
+        cand = np.sort(rng.choice(q, size=n_cand, replace=False))
+        found = _best_split(X, y, idx, cand)
         if found is None:
             # The drawn features are constant on this node; an impure node
             # still splits if any other feature can separate it.
             rest = np.setdiff1d(np.arange(q), cand)
-            found = _best_split(X, y, idx, rest, min_leaf) if rest.size else None
+            found = _best_split(X, y, idx, rest) if rest.size else None
         if found is None:
             node.counts = (c0, c1)
             continue
@@ -269,14 +269,19 @@ def _build_tree(X: np.ndarray, y: np.ndarray, start: np.ndarray,
     return root
 
 
-def fit_forest(Z, y, *, n_trees: int = 1000, mtry: int | None = None,
-               min_leaf: int = 1, seed: int = 1234,
+def fit_forest(Z, y, *, n_trees: int = 1000, seed: int = 1234,
                bootstrap: bool = True) -> ForestModel:
-    """Random forest of CART trees on bootstrap samples.
+    """Random forest of CART trees with Breiman's (2001) fixed rules.
 
-    Each tree sees a bootstrap sample of size n drawn with replacement and,
-    at every split, ``mtry`` candidate features (default ceil(sqrt(q))) drawn
-    without replacement from its own seeded stream.
+    Each tree sees a bootstrap sample of size n drawn with replacement (the
+    whole training set when ``bootstrap`` is false) and, at every split,
+    ceil(sqrt(q)) candidate features drawn without replacement from its own
+    seeded stream. A node splits at its lowest weighted-Gini cut until it is
+    pure; when every candidate is constant on the node, the other features
+    are searched instead, so a leaf is impure only when no feature separates
+    its rows. A cut between consecutive values a < b sits at their midpoint,
+    or at a when the midpoint rounds up to b or overflows, so neither child
+    is empty. ``Z`` must be finite.
     """
     Z = _as_matrix(Z)
     n, q = Z.shape
@@ -285,18 +290,12 @@ def fit_forest(Z, y, *, n_trees: int = 1000, mtry: int | None = None,
     yb = _as_binary(y, n)
     if n_trees < 1:
         raise ValueError("n_trees must be positive")
-    if mtry is None:
-        mtry = math.ceil(math.sqrt(q))
-    if not 1 <= mtry <= q:
-        raise ValueError(f"mtry must be in [1, {q}], got {mtry}")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be positive")
     trees = []
     for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child_seed)
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_build_tree(Z, yb, idx, rng, mtry, min_leaf))
-    return ForestModel(tuple(trees), q, n_trees, mtry, min_leaf, seed)
+        trees.append(_build_tree(Z, yb, idx, rng))
+    return ForestModel(tuple(trees), q)
 
 
 def predict_forest(model: ForestModel, z):

@@ -88,11 +88,6 @@ class MSImage:
         object.__setattr__(self, "mz", mz)
         object.__setattr__(self, "spectra", spectra)
 
-    def pixel(self, row: int, col: int) -> np.ndarray:
-        if not (0 <= row < self.height and 0 <= col < self.width):
-            raise IndexError(f"pixel ({row}, {col}) outside {self.height}x{self.width} grid")
-        return self.spectra[row * self.width + col]
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
@@ -131,9 +126,6 @@ class LabeledDataset:
     @property
     def q(self) -> int:
         return self.mz.size
-
-    def spectrum(self, i: int) -> Spectrum:
-        return Spectrum(self.mz, self.intensities[i])
 
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx)

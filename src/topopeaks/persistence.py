@@ -7,14 +7,21 @@ birth dies there (elder rule, ties going to the smaller position), and the
 component of the global maximum dies at the global minimum of f. A peak's
 persistence is its birth minus its death.
 
-Two independent routes compute the same pairing:
+Three independent routes compute the same pairing:
 
 * :func:`transform` splits the axis recursively at pairing minima, driven by
   an explicit work stack and rank-ordered maxima.
 * :func:`oracle_transform` performs a literal threshold sweep with interval
   components.
+* :func:`_topk_vectors` finds each peak's nearest elder and saddle by binary
+  lifting over range tables, for a batch of rows at once, and returns only
+  the top-k% persistence vectors that ``build_matrix`` and ``denoise`` use.
 
-Their outputs agree exactly, triple for triple.
+Their outputs agree exactly: ``TestOracleAgreement`` in
+``tests/test_persistence.py`` checks transform against the oracle triple for
+triple, and ``TestFilterTopK.test_fast_path_matches_composition`` and
+``test_denoise_matches_composition`` check the batched vectors against the
+oracle composed with :func:`reduce` and :func:`filter_top_k`.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import numpy as np
 from .core import MSImage
 from .persistence import _check_k, _topk_vectors
 
+MZ_RANGE = (500.0, 2000.0)  # the m/z axis spans this range
 PEAK_SIGMA = 2.0  # Gaussian peak width, in axis steps
 _EDGE = 15  # keep peaks this many axis steps away from the axis ends
 _GAP = 10  # minimum distance between peak positions, in axis steps
@@ -27,7 +28,6 @@ class SimulationSpec:
     """Parameters of one synthetic image."""
 
     size: int = 30
-    mz_range: tuple[float, float] = (500.0, 2000.0)
     n_mz: int = 3466
     n_peaks: int = 50
     baseline: float = 0.0
@@ -36,8 +36,6 @@ class SimulationSpec:
     def __post_init__(self):
         if self.size < 8:
             raise ValueError("size must be at least 8 so the regions stay disjoint")
-        if self.mz_range[0] >= self.mz_range[1]:
-            raise ValueError("mz_range must be increasing")
         if self.n_peaks < 2:
             raise ValueError("need at least 2 peaks, one per region")
         if self.baseline < 0:
@@ -106,7 +104,7 @@ def generate_ground_truth(spec: SimulationSpec) -> tuple[MSImage, np.ndarray]:
     spectra = np.full((n_px, spec.n_mz), float(spec.baseline))
     spectra[circle_mask.ravel()] = region_spectrum(circle_ids)
     spectra[square_mask.ravel()] = region_spectrum(square_ids)
-    mz = np.linspace(spec.mz_range[0], spec.mz_range[1], spec.n_mz)
+    mz = np.linspace(MZ_RANGE[0], MZ_RANGE[1], spec.n_mz)
     image = MSImage(spec.size, spec.size, mz, spectra)
     return image, circle_mask | square_mask
 

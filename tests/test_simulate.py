@@ -23,7 +23,7 @@ from topopeaks import (
     reduce,
     transform,
 )
-from topopeaks.simulate import _region_masks
+from topopeaks.simulate import MZ_RANGE, _region_masks
 
 SMALL = SimulationSpec(size=12, n_mz=500, n_peaks=10, seed=3)
 
@@ -32,7 +32,9 @@ class TestSimulationSpec:
     def test_defaults(self):
         spec = SimulationSpec()
         assert spec.size == 30 and spec.n_mz == 3466
-        assert spec.n_peaks == 50 and spec.mz_range == (500.0, 2000.0)
+        assert spec.n_peaks == 50
+        mz = generate_ground_truth(SMALL)[0].mz
+        assert (mz[0], mz[-1], mz.size) == (*MZ_RANGE, SMALL.n_mz)
 
     def test_too_small_grid(self):
         with pytest.raises(ValueError, match="at least 8"):
@@ -41,10 +43,6 @@ class TestSimulationSpec:
     def test_axis_too_short_for_separated_peaks(self):
         with pytest.raises(ValueError, match="too small for"):
             SimulationSpec(n_mz=100, n_peaks=50)
-
-    def test_bad_mz_range(self):
-        with pytest.raises(ValueError, match="increasing"):
-            SimulationSpec(mz_range=(2000.0, 500.0))
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
