@@ -24,6 +24,7 @@ from .features import build_matrix
 _TOL = 1e-8  # fit_logistic stops once the gradient's max-norm is at most this
 _MAX_ITER = 200  # and after this many Newton steps at most
 _THRESHOLD = 0.5  # class 1 when the probability is above this
+_MAX_FEATURE = 1e100  # larger features would overflow the Newton system R'(R*w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +114,15 @@ def fit_logistic(Z, y) -> LogisticModel:
     an r x r system instead of a (q + 1) x (q + 1) one, and moves the linear
     predictor by R times the step. beta is the minimum-norm solution in the
     row space of X; the stopping test uses the full gradient X'(y - p).
+    Features beyond ``_MAX_FEATURE`` (1e100) in magnitude raise ValueError,
+    since R'(R*w) squares them past the float range.
     """
     Z = _as_matrix(Z)
     n = Z.shape[0]
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
+    if Z.size and np.max(np.abs(Z)) > _MAX_FEATURE:
+        raise ValueError(f"logistic features must lie within ±{_MAX_FEATURE:g}")
     y = _as_binary(y, n)
     X = np.column_stack([np.ones(n), Z])
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
@@ -175,7 +180,11 @@ def predict_logistic(model: LogisticModel, z):
     row per sample, giving an array of probabilities and an array of classes.
     """
     Z, one_row = _as_rows(z, model.beta.size - 1)
-    p = _expit(model.beta[0] + Z @ model.beta[1:])
+    coef = model.beta[1:]
+    idle = (coef == 0.0) & ~np.isfinite(Z)
+    if idle.any():  # a zero coefficient adds nothing, even against ±inf or nan
+        Z = np.where(idle, 0.0, Z)
+    p = _expit(model.beta[0] + Z @ coef)
     c = (p > _THRESHOLD).astype(np.int64)
     return (float(p[0]), int(c[0])) if one_row else (p, c)
 

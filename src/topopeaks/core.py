@@ -12,8 +12,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class _Made:
+    """An array the library has just made and hands to a constructor.
+
+    ``_frozen_f64`` freezes it in place rather than copying it; anything else
+    a caller passes is copied.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_f64(a) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+    if isinstance(a, _Made):
+        out = np.asarray(a.array, dtype=np.float64)
+    else:
+        out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
 

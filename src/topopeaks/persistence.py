@@ -15,7 +15,10 @@ Three independent routes compute the same pairing:
   components.
 * :func:`_topk_vectors` finds each peak's nearest elder and saddle by binary
   lifting over range tables, for a batch of rows at once, and returns only
-  the top-k% persistence vectors that ``build_matrix`` and ``denoise`` use.
+  the top-k% persistence vectors that ``build_matrix``, ``denoise`` and the
+  ``denoise`` command use. The pairing does not depend on k: given several k
+  values it pairs each block of rows once and selects the kept peaks once
+  per k.
 
 Their outputs agree exactly: ``TestOracleAgreement`` in
 ``tests/test_persistence.py`` checks transform against the oracle triple for
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,22 +48,6 @@ class FeatureTriple(NamedTuple):
 class PersistencePair(NamedTuple):
     position: int
     persistence: float
-
-
-@dataclass(frozen=True)
-class ExtremaSet:
-    """Local extrema of a spectrum, as positions into the intensity array.
-
-    ``maxima`` is sorted by descending intensity (ties by ascending position),
-    ``minima`` by ascending intensity (same tie rule). A run of equal values
-    bordered by strictly smaller (larger) neighbours counts as one maximum
-    (minimum) anchored at its leftmost position; an endpoint is an extremum
-    only when strictly above or below its single neighbour. A constant
-    spectrum has one maximum at position 0 and no minima.
-    """
-
-    maxima: tuple[int, ...]
-    minima: tuple[int, ...]
 
 
 def _extrema_runs(values: np.ndarray) -> tuple[list[int], list[int]]:
@@ -86,15 +72,6 @@ def _extrema_runs(values: np.ndarray) -> tuple[list[int], list[int]]:
         is_max[1:-1] = rising[:-1] & ~rising[1:]
         is_min[1:-1] = ~rising[:-1] & rising[1:]
     return starts[is_max].tolist(), starts[is_min].tolist()
-
-
-def detect_extrema(spectrum: Spectrum) -> ExtremaSet:
-    """Find local maxima and minima of a spectrum, plateau runs collapsed."""
-    values = spectrum.intensity
-    max_pos, min_pos = _extrema_runs(values)
-    maxima = tuple(sorted(max_pos, key=lambda p: (-values[p], p)))
-    minima = tuple(sorted(min_pos, key=lambda p: (values[p], p)))
-    return ExtremaSet(maxima, minima)
 
 
 def _transform_values(values: np.ndarray) -> list[FeatureTriple]:
@@ -247,8 +224,12 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
 _BLOCK = 8  # rows per kernel pass; bounds the sparse tables' memory
 
 
-def _topk_block(rows: np.ndarray, k: float) -> np.ndarray:
-    """:func:`_topk_vectors` for one block of rows."""
+def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, position and persistence of every positive-persistence peak of a block.
+
+    The peaks come grouped by row, most persistent first within a row, ties
+    in position order: the order in which :func:`_topk_vectors` keeps them.
+    """
     b, q = rows.shape
     # Each row padded with +inf at both ends: a window that reaches past the
     # row holds an inf and is never taken, and the right search always stops.
@@ -305,20 +286,11 @@ def _topk_block(rows: np.ndarray, k: float) -> np.ndarray:
     pers = birth - death
     alive = pers > 0.0
     row, pos, pers = row[alive], pos[alive], pers[alive]
-
-    # Top-k per row: most persistent first, ties to the smaller position.
-    counts = np.bincount(row, minlength=b)
-    keep = np.ceil(k * counts / 100.0)
     order = np.lexsort((-pers, row))  # stable: ties stay in position order
-    row, pos, pers = row[order], pos[order], pers[order]
-    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    kept = np.arange(row.size) - first[row] < keep[row]
-    out = np.zeros((b, q))
-    out[row[kept], pos[kept]] = pers[kept]
-    return out
+    return row[order], pos[order], pers[order]
 
 
-def _topk_vectors(rows: np.ndarray, k: float) -> np.ndarray:
+def _topk_vectors(rows: np.ndarray, k):
     """Top-k% persistence vector of every row of an (n, q) matrix.
 
     Row i is zero except at the ceil(k% of m_i) most persistent of its m_i
@@ -328,12 +300,25 @@ def _topk_vectors(rows: np.ndarray, k: float) -> np.ndarray:
     the left, > it to the right), the higher of the two where both exist,
     the row minimum where neither does. This is the elder-rule pairing of
     :func:`transform`, computed for all rows at once in fixed-size blocks.
+
+    ``k`` is one percentage, giving one matrix, or a tuple of them, giving a
+    tuple of matrices in the same order. The pairing does not depend on k,
+    so each block is paired once; only the selection of the kept peaks runs
+    once per k.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    out = np.zeros(rows.shape)
+    ks = k if isinstance(k, tuple) else (k,)
+    outs = tuple(np.zeros(rows.shape) for _ in ks)
     for s in range(0, rows.shape[0], _BLOCK):
-        out[s:s + _BLOCK] = _topk_block(rows[s:s + _BLOCK], k)
-    return out
+        block = rows[s:s + _BLOCK]
+        row, pos, pers = _pair_block(block)
+        counts = np.bincount(row, minlength=block.shape[0])
+        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        rank = np.arange(row.size) - first[row]  # place within the row's order
+        for kk, out in zip(ks, outs):
+            kept = rank < np.ceil(kk * counts / 100.0)[row]
+            out[s + row[kept], pos[kept]] = pers[kept]
+    return outs if isinstance(k, tuple) else outs[0]
 
 
 def write_triples_csv(triples, mz: np.ndarray, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MSImage
+from .core import MSImage, _Made
 from .persistence import _check_k, _topk_vectors
 
 MZ_RANGE = (500.0, 2000.0)  # the m/z axis spans this range
@@ -105,7 +105,7 @@ def generate_ground_truth(spec: SimulationSpec) -> tuple[MSImage, np.ndarray]:
     spectra[circle_mask.ravel()] = region_spectrum(circle_ids)
     spectra[square_mask.ravel()] = region_spectrum(square_ids)
     mz = np.linspace(MZ_RANGE[0], MZ_RANGE[1], spec.n_mz)
-    image = MSImage(spec.size, spec.size, mz, spectra)
+    image = MSImage(spec.size, spec.size, mz, _Made(spectra))
     return image, circle_mask | square_mask
 
 
@@ -115,11 +115,12 @@ def add_noise(image: MSImage, model: NoiseModel) -> MSImage:
         return image
     rng = np.random.default_rng(model.seed)
     if model.kind == "gaussian":
-        noisy = image.spectra + rng.normal(0.0, model.level, image.spectra.shape)
-        noisy = np.maximum(noisy, 0.0)
+        noisy = rng.normal(0.0, model.level, image.spectra.shape)
+        noisy += image.spectra
+        np.maximum(noisy, 0.0, out=noisy)
     else:
         noisy = image.spectra + rng.poisson(model.level, image.spectra.shape)
-    return MSImage(image.width, image.height, image.mz, noisy)
+    return MSImage(image.width, image.height, image.mz, _Made(noisy))
 
 
 def denoise(image: MSImage, k, workers: int = 1) -> MSImage:
@@ -133,7 +134,7 @@ def denoise(image: MSImage, k, workers: int = 1) -> MSImage:
     """
     k = _check_k(k)
     rows = _topk_vectors(image.spectra, k)
-    return MSImage(image.width, image.height, image.mz, rows)
+    return MSImage(image.width, image.height, image.mz, _Made(rows))
 
 
 def mean_image(image: MSImage) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from topopeaks import LabeledDataset, Spectrum
+from topopeaks.persistence import _extrema_runs
 
 
 def mk(values, mz=None) -> Spectrum:
@@ -49,6 +51,31 @@ def two_class_dataset(n=80, q=60, seed=7, n_groups=4) -> LabeledDataset:
         labels[i] = lab
         groups.append(f"g{i // block}")
     return LabeledDataset(mz=mz, intensities=rows, labels=labels, groups=tuple(groups))
+
+
+@dataclass(frozen=True)
+class ExtremaSet:
+    """Local extrema of a spectrum, as positions into the intensity array.
+
+    ``maxima`` is sorted by descending intensity (ties by ascending position),
+    ``minima`` by ascending intensity (same tie rule). A run of equal values
+    bordered by strictly smaller (larger) neighbours counts as one maximum
+    (minimum) anchored at its leftmost position; an endpoint is an extremum
+    only when strictly above or below its single neighbour. A constant
+    spectrum has one maximum at position 0 and no minima.
+    """
+
+    maxima: tuple[int, ...]
+    minima: tuple[int, ...]
+
+
+def detect_extrema(spectrum: Spectrum) -> ExtremaSet:
+    """Find local maxima and minima of a spectrum, plateau runs collapsed."""
+    values = spectrum.intensity
+    max_pos, min_pos = _extrema_runs(values)
+    maxima = tuple(sorted(max_pos, key=lambda p: (-values[p], p)))
+    minima = tuple(sorted(min_pos, key=lambda p: (values[p], p)))
+    return ExtremaSet(maxima, minima)
 
 
 def to_persistence_vector(pairs, q: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import detect_extrema
 
 from topopeaks.classify import (
     _loglik,
@@ -29,7 +30,6 @@ from topopeaks.core import LabeledDataset, Spectrum, load_dataset_csv
 from topopeaks.diagram import bottleneck_distance
 from topopeaks.persistence import (
     _transform_values,
-    detect_extrema,
     oracle_transform,
     reduce as reduce_triples,
     to_diagram,

@@ -268,6 +268,13 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="empty"):
             fit_logistic(np.zeros((0, 2)), np.zeros(0))
 
+    def test_huge_features_rejected_naming_the_limit(self):
+        # R'(R*w) would square 1e200 past the float range and the solve fail
+        with pytest.raises(ValueError, match=r"within ±1e\+100"):
+            fit_logistic(np.array([[1e200], [2e200], [3e200], [4e200]]), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match=r"within ±1e\+100"):
+            fit_logistic(np.array([[0.0, 1.0], [-2e100, 1.0]]), np.array([0, 1]))
+
     def test_label_values_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             fit_logistic(np.zeros((2, 1)), np.array([0, 3]))
@@ -426,6 +433,15 @@ class TestPredictLogistic:
         p, c = predict_logistic(m, np.array([[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]]))
         assert math.isnan(p[0]) and p[1:].tolist() == [1.0, 0.0]
         assert c.tolist() == [0, 1, 0]
+
+    def test_zero_coefficient_ignores_non_finite_feature(self):
+        # 0 * inf would make p nan (and warn); a zero coefficient adds nothing
+        m = LogisticModel(np.array([0.5, 0.0, -1.0]))
+        Z = np.array([[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0], [3.0, 1.0]])
+        p, c = predict_logistic(m, Z)
+        assert p.tolist() == [predict_logistic(m, [0.0, 1.0])[0]] * 4
+        assert c.tolist() == [0, 0, 0, 0]
+        assert predict_logistic(m, [np.inf, 1.0]) == predict_logistic(m, [0.0, 1.0])
 
     def test_column_rescale_invariance(self):
         # scale a column by 4 and its coefficient by 1/4: identical scores

@@ -10,6 +10,16 @@ import numpy as np
 import pytest
 from conftest import two_class_dataset
 
+from topopeaks import (
+    LabeledDataset,
+    NoiseModel,
+    SimulationSpec,
+    add_noise,
+    denoise,
+    generate_ground_truth,
+    mean_image,
+    write_pgm,
+)
 from topopeaks.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -212,6 +222,15 @@ class TestClassifyCommand:
                    "--n-trees", "5", "--k", "50"])
         assert rc == 0
 
+    def test_logistic_on_huge_intensities_exits_1(self, tmp_path, capsys):
+        ds = two_class_dataset(n=16, q=20, seed=35, n_groups=2)
+        ds = LabeledDataset(ds.mz, ds.intensities * 1e200, ds.labels, ds.groups)
+        spectra, labels = write_dataset(ds, tmp_path)
+        rc = main(["classify", "--spectra", spectra, "--labels", labels,
+                   "--out-dir", str(tmp_path / "cv"), "--k", "50"])
+        assert rc == 1
+        assert "logistic features must lie within ±1e+100" in capsys.readouterr().err
+
     def test_single_group_exits_1(self, tmp_path, capsys):
         ds = two_class_dataset(n=10, q=20, seed=33, n_groups=1)
         spectra, labels = write_dataset(ds, tmp_path)
@@ -277,6 +296,21 @@ class TestDenoiseCommand:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["denoised_k100.pgm", "denoised_k50.pgm",
                          "ground_truth.pgm", "noisy.pgm"]
+
+    def test_pgm_bytes_match_library_denoise(self, tmp_path):
+        # every k shares one pairing pass; each image must still be the
+        # public denoise of the noisy image at that k alone
+        out_dir = tmp_path / "den"
+        rc = main(["denoise", "--out-dir", str(out_dir), "--size", "9",
+                   "--n-mz", "400", "--n-peaks", "6", "--seed", "5",
+                   "--noise", "gaussian", "--sd", "0.3", "--k", "25,5,100"])
+        assert rc == 0
+        image, _ = generate_ground_truth(SimulationSpec(size=9, n_mz=400, n_peaks=6, seed=5))
+        noisy = add_noise(image, NoiseModel("gaussian", 0.3, 5))
+        for k in (25, 5, 100):
+            expect = tmp_path / f"expect_{k}.pgm"
+            write_pgm(mean_image(denoise(noisy, k)), expect)
+            assert (out_dir / f"denoised_k{k}.pgm").read_bytes() == expect.read_bytes()
 
     def test_bad_k_list_exits_1(self, tmp_path, capsys):
         rc = main(["denoise", "--out-dir", str(tmp_path / "den"), "--size", "8",

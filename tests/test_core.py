@@ -61,6 +61,13 @@ class TestMSImage:
         np.testing.assert_array_equal(pixel[0, 2], [4.0, 5.0])
         np.testing.assert_array_equal(pixel[1, 0], [6.0, 7.0])
 
+    def test_copies_the_callers_array(self):
+        spectra = np.ones((2, 3))
+        img = MSImage(width=2, height=1, mz=np.array([1.0, 2.0, 3.0]), spectra=spectra)
+        spectra[0, 0] = 5.0
+        np.testing.assert_array_equal(img.spectra, np.ones((2, 3)))
+        assert spectra.flags.writeable and not img.spectra.flags.writeable
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             MSImage(width=2, height=2, mz=np.array([1.0]), spectra=np.zeros((3, 1)))

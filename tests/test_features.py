@@ -6,14 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mk, to_persistence_vector, two_class_dataset
+from conftest import detect_extrema, mk, to_persistence_vector, two_class_dataset
 
 from topopeaks import (
     LabeledDataset,
     PersistencePair,
     Spectrum,
     build_matrix,
-    detect_extrema,
     filter_top_k,
     reduce,
     transform,

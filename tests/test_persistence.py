@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import mk, to_persistence_vector
+from conftest import detect_extrema, mk, to_persistence_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from topopeaks import (
     SimulationSpec,
     add_noise,
     denoise,
-    detect_extrema,
     filter_top_k,
     generate_ground_truth,
     oracle_transform,
@@ -298,24 +297,43 @@ class TestFilterTopK:
                              for p in pairs]).reshape(rows.shape)
                 for k in ks}
 
+    @staticmethod
+    def _mixed_rows(rng, q):
+        """A batch that is not a whole number of blocks, cycling through
+        random, tied, plateau, step and constant rows of length q."""
+        n = 3 * _BLOCK + 5
+        rows = np.empty((n, q))
+        rows[0::5] = rng.uniform(0, 9, size=(len(range(0, n, 5)), q))
+        rows[1::5] = rng.integers(0, 4, size=(len(range(1, n, 5)), q))
+        for i in range(2, n, 5):  # plateaus: runs of repeated levels
+            rows[i] = np.repeat(rng.integers(0, 5, size=q), rng.integers(1, 4, size=q))[:q]
+        for i in range(3, n, 5):  # steps of -1, 0 or +1
+            rows[i] = np.cumsum(rng.integers(-1, 2, size=q)) + q
+        rows[4::5] = 2.5  # constant rows
+        return rows
+
     def test_fast_path_matches_composition(self):
         # the batched kernel against the sweep oracle composed with the
-        # public reduce / filter_top_k, on a batch that is not a whole
-        # number of blocks
+        # public reduce / filter_top_k
         rng = np.random.default_rng(31)
-        n = 3 * _BLOCK + 5
         for q in range(1, 81):
-            rows = np.empty((n, q))
-            rows[0::5] = rng.uniform(0, 9, size=(len(range(0, n, 5)), q))
-            rows[1::5] = rng.integers(0, 4, size=(len(range(1, n, 5)), q))
-            for i in range(2, n, 5):  # plateaus: runs of repeated levels
-                rows[i] = np.repeat(rng.integers(0, 5, size=q), rng.integers(1, 4, size=q))[:q]
-            for i in range(3, n, 5):  # steps of -1, 0 or +1
-                rows[i] = np.cumsum(rng.integers(-1, 2, size=q)) + q
-            rows[4::5] = 2.5  # constant rows
+            rows = self._mixed_rows(rng, q)
             ks = (0.001, 7.5, 25.0, 50.0, 99.9, 100.0)
             for k, expect in self._reference(rows, ks).items():
                 assert np.array_equal(_topk_vectors(rows, k), expect), (q, k)
+
+    def test_several_k_match_single_k_calls(self):
+        # one pairing pass for a tuple of k gives, per k, the matrix of a
+        # call with that k alone
+        rng = np.random.default_rng(32)
+        ks = (100.0, 0.001, 25.0, 7.5, 25.0, 50.0)
+        for q in (1, 2, 3, 17, 64, 121):
+            rows = self._mixed_rows(rng, q)
+            got = _topk_vectors(rows, ks)
+            assert isinstance(got, tuple) and len(got) == len(ks)
+            for k, matrix in zip(ks, got):
+                assert np.array_equal(matrix, _topk_vectors(rows, k)), (q, k)
+        assert _topk_vectors(np.zeros((0, 5)), (10.0, 20.0))[1].shape == (0, 5)
 
     def test_denoise_matches_composition(self):
         spec = SimulationSpec(size=8, n_mz=300, n_peaks=6, seed=11)

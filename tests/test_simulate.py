@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import detect_extrema
 
 from topopeaks import (
     NoiseModel,
@@ -14,7 +16,6 @@ from topopeaks import (
     add_noise,
     bench_denoise,
     denoise,
-    detect_extrema,
     generate_ground_truth,
     mask_iou,
     mean_image,
@@ -191,6 +192,30 @@ class TestDenoise:
         image, _ = generate_ground_truth(SMALL)
         with pytest.raises(ValueError, match="k must be in"):
             denoise(image, 0)
+
+
+class TestMemory:
+    """The library hands the arrays it makes to MSImage frozen, not copied,
+    so each step peaks near one image's bytes, not two."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_add_noise_and_denoise_peak_below_one_and_a_half_images(self):
+        image, _ = generate_ground_truth(SimulationSpec(size=30, n_mz=1000, n_peaks=20))
+        nbytes = image.spectra.nbytes
+        noisy, peak = self._peak(lambda: add_noise(image, NoiseModel("gaussian", 0.2)))
+        assert peak < 1.5 * nbytes
+        cleaned, peak = self._peak(lambda: denoise(noisy, 25))
+        assert peak < 1.5 * nbytes
+        for out in (image, noisy, cleaned):
+            assert not out.spectra.flags.writeable
 
 
 class TestMeanImage:
