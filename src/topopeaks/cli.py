@@ -13,13 +13,14 @@ from pathlib import Path
 
 from . import persistence
 from .classify import group_cv
-from .core import MSImage, _Made, _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
+from .core import MSImage, _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
 from .diagram import write_diagram_csv
 from .simulate import (
     NoiseModel,
     SimulationSpec,
     add_noise,
     bench_denoise,
+    denoise,
     generate_ground_truth,
     mean_image,
 )
@@ -177,8 +178,7 @@ def _cmd_denoise(args) -> int:
         raise ValueError("need at least one k value")
     out_dir, noisy = _simulate_and_write(args)
     # One pairing pass serves every k; only the top-k selection runs per k.
-    for k, rows in zip(ks, persistence._topk_vectors(noisy.spectra, tuple(ks))):
-        cleaned = MSImage(noisy.width, noisy.height, noisy.mz, _Made(rows))
+    for k, cleaned in zip(ks, denoise(noisy, tuple(ks))):
         name = f"denoised_k{k:g}.pgm"
         write_pgm(mean_image(cleaned), out_dir / name)
         _log(f"wrote {out_dir / name}")

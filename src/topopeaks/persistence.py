@@ -13,12 +13,13 @@ Three independent routes compute the same pairing:
   an explicit work stack and rank-ordered maxima.
 * :func:`oracle_transform` performs a literal threshold sweep with interval
   components.
-* :func:`_topk_vectors` finds each peak's nearest elder and saddle by binary
-  lifting over range tables, for a batch of rows at once, and returns only
-  the top-k% persistence vectors that ``build_matrix``, ``denoise`` and the
-  ``denoise`` command use. The pairing does not depend on k: given several k
-  values it pairs each block of rows once and selects the kept peaks once
-  per k.
+* :func:`_topk_vectors` finds each peak's nearest elder and saddle by
+  pointer jumping over the sequence of peaks, carrying the valley minima
+  between neighbouring peaks, for a batch of rows at once. It returns only
+  the top-k% persistence vectors that ``build_matrix`` and ``denoise`` (and
+  through it the ``denoise`` command) use. The pairing does not depend on
+  k: given several k values it pairs each block of rows once and selects
+  the kept peaks once per k.
 
 Their outputs agree exactly: ``TestOracleAgreement`` in
 ``tests/test_persistence.py`` checks transform against the oracle triple for
@@ -221,14 +222,38 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
     return chosen
 
 
-_BLOCK = 8  # rows per kernel pass; bounds the sparse tables' memory
+_BLOCK = 8  # rows per kernel pass; larger blocks were no faster
 
 
-def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, position and persistence of every positive-persistence peak of a block.
+def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, below, rounds: int) -> np.ndarray:
+    """Pointer jumping (Wyllie 1979) towards each peak's nearest elder on one side.
 
-    The peaks come grouped by row, most persistent first within a row, ties
-    in position order: the order in which :func:`_topk_vectors` keeps them.
+    ``link[i]`` is a peak on that side of peak i, or the sentinel at index
+    ``len(link)``, whose birth is +inf. Every peak strictly between them is
+    not an elder of i, and ``low[i]`` is the minimum of the values between
+    them (meaningless once the link is the sentinel). While
+    ``below(birth[link[i]], birth[i])``, the link is no elder: peak i takes
+    its link's link and the lower of the two minima. Runs at most
+    ``rounds`` rounds, in place, and returns the peaks still searching.
+    """
+    act = np.flatnonzero(below(birth[link], birth[:-1]))
+    for _ in range(rounds):
+        if not act.size:
+            break
+        nxt = link[act]
+        low[act] = np.minimum(low[act], low[nxt])
+        link[act] = link[nxt]
+        act = act[below(birth[link[act]], birth[act])]
+    return act
+
+
+def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, birth: np.ndarray):
+    """Nearest elder on each side of the given peaks by binary lifting.
+
+    Returns ``(has_left, left_min, has_right, right_min)``: whether the peak
+    has an elder on that side and the minimum between it and that elder. The
+    range tables span the whole block, so this runs only for the peaks that
+    :func:`_jump` leaves unfinished.
     """
     b, q = rows.shape
     # Each row padded with +inf at both ends: a window that reaches past the
@@ -250,21 +275,11 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                    out=lo[level, :, :fit])
     hi = hi.reshape(levels, -1)
     lo = lo.reshape(levels, -1)
-
-    # Peaks: local maxima of the total order (-value, position), i.e. above
-    # the left neighbour and not below the right one. A plateau that rises
-    # again yields a zero-persistence peak, dropped below.
-    is_peak = np.ones((b, q), dtype=bool)
-    is_peak[:, 1:] = rows[:, 1:] > rows[:, :-1]
-    is_peak[:, :-1] &= rows[:, :-1] >= rows[:, 1:]
-    row, pos = np.nonzero(is_peak)
-    birth = rows[row, pos]
     row_at = row * width  # flat index where each peak's padded row starts
 
-    # Nearest elder on each side by binary lifting: take every window, longest
-    # first, that holds no elder (left: no value >= birth; right: none >
-    # birth). The taken windows tile the span to the elder, so the minimum of
-    # their range-minima is the saddle on that side.
+    # Take every window, longest first, that holds no elder (left: no value
+    # >= birth; right: none > birth). The taken windows tile the span to the
+    # elder, so the minimum of their range-minima is the saddle on that side.
     left = row_at + pos + 1  # the left windows end here, at the peak
     right = left + 1  # and the right ones start here
     left_min = np.full(pos.size, np.inf)
@@ -278,8 +293,53 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         take = hi[level, right] <= birth
         right_min = np.where(take, np.minimum(right_min, lo[level, right]), right_min)
         right += take * w
-    has_left = left - row_at > 1
-    has_right = right - row_at < q + 1
+    return left - row_at > 1, left_min, right - row_at < q + 1, right_min
+
+
+def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, position and persistence of every positive-persistence peak of a block.
+
+    The peaks come grouped by row, most persistent first within a row, ties
+    in position order: the order in which :func:`_topk_vectors` keeps them.
+    """
+    b, q = rows.shape
+    # Peaks: local maxima of the total order (-value, position), i.e. above
+    # the left neighbour and not below the right one. A plateau that rises
+    # again yields a zero-persistence peak, dropped below. Two peaks are
+    # never adjacent, and a row's nearest elder on either side is a peak.
+    is_peak = np.ones((b, q), dtype=bool)
+    is_peak[:, 1:] = rows[:, 1:] > rows[:, :-1]
+    is_peak[:, :-1] &= rows[:, :-1] >= rows[:, 1:]
+    row, pos = np.nonzero(is_peak)
+    flat = rows.ravel()
+    at = row * q + pos
+    n = pos.size
+    birth = np.append(flat[at], np.inf)  # index n is the sentinel past a row's end
+    # valley[i]: the minimum between peak i and peak i + 1 (peak i's own value
+    # is above it); across a row end it is never read.
+    valley = np.minimum.reduceat(flat, at)
+
+    # Links start at the neighbouring peak, or at the sentinel at a row end.
+    first = np.ones(n, dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    last = np.append(first[1:], True)
+    index = np.arange(n)
+    left = np.where(first, n, index - 1)
+    right = np.where(last, n, index + 1)
+    left_min = np.append(np.inf, valley[:-1])
+    right_min = valley
+    # Left elders are >= the birth, right ones >: the tie rule of transform.
+    # A V-shaped row needs one round per peak of one arm, so the rounds are
+    # capped and the peaks still searching finish by binary lifting.
+    rounds = 3 * (q + 2).bit_length()
+    rest = np.union1d(_jump(birth, left, left_min, np.less, rounds),
+                      _jump(birth, right, right_min, np.less_equal, rounds))
+    has_left = left < n
+    has_right = right < n
+    birth = birth[:-1]
+    if rest.size:
+        has_left[rest], left_min[rest], has_right[rest], right_min[rest] = _lift(
+            rows, row[rest], pos[rest], birth[rest])
     death = np.where(has_left & has_right, np.maximum(left_min, right_min),
                      np.where(has_left, left_min,
                               np.where(has_right, right_min, rows.min(axis=1)[row])))
@@ -300,6 +360,12 @@ def _topk_vectors(rows: np.ndarray, k):
     the left, > it to the right), the higher of the two where both exist,
     the row minimum where neither does. This is the elder-rule pairing of
     :func:`transform`, computed for all rows at once in fixed-size blocks.
+
+    Both elders are peaks, so each peak searches the block's sequence of
+    peaks, not the row: :func:`_jump` follows links to ever farther peaks,
+    round by round. After ``3 * (q + 2).bit_length()`` rounds a side, the
+    peaks still searching finish by binary lifting (:func:`_lift`), so the
+    work per block is bounded and the range tables are built only then.
 
     ``k`` is one percentage, giving one matrix, or a tuple of them, giving a
     tuple of matrices in the same order. The pairing does not depend on k,

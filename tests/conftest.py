@@ -88,6 +88,74 @@ def to_persistence_vector(pairs, q: int) -> np.ndarray:
     return vec
 
 
+# Binary lifting over range tables as wide as the row: the differential
+# reference for persistence._pair_block, which jumps over the peaks instead.
+def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, position and persistence of every positive-persistence peak of a block.
+
+    The peaks come grouped by row, most persistent first within a row, ties
+    in position order: the order in which :func:`_topk_vectors` keeps them.
+    """
+    b, q = rows.shape
+    # Each row padded with +inf at both ends: a window that reaches past the
+    # row holds an inf and is never taken, and the right search always stops.
+    # Sparse tables: level l holds the max (min) of the window of length 2**l
+    # starting at each padded position, +inf where the window leaves the row.
+    width = q + 2
+    levels = width.bit_length()
+    hi = np.full((levels, b, width), np.inf)
+    lo = np.full((levels, b, width), np.inf)
+    hi[0, :, 1:-1] = rows
+    lo[0, :, 1:-1] = rows
+    for level in range(1, levels):
+        span = 1 << (level - 1)
+        fit = width - 2 * span + 1
+        np.maximum(hi[level - 1, :, :fit], hi[level - 1, :, span:span + fit],
+                   out=hi[level, :, :fit])
+        np.minimum(lo[level - 1, :, :fit], lo[level - 1, :, span:span + fit],
+                   out=lo[level, :, :fit])
+    hi = hi.reshape(levels, -1)
+    lo = lo.reshape(levels, -1)
+
+    # Peaks: local maxima of the total order (-value, position), i.e. above
+    # the left neighbour and not below the right one. A plateau that rises
+    # again yields a zero-persistence peak, dropped below.
+    is_peak = np.ones((b, q), dtype=bool)
+    is_peak[:, 1:] = rows[:, 1:] > rows[:, :-1]
+    is_peak[:, :-1] &= rows[:, :-1] >= rows[:, 1:]
+    row, pos = np.nonzero(is_peak)
+    birth = rows[row, pos]
+    row_at = row * width  # flat index where each peak's padded row starts
+
+    # Nearest elder on each side by binary lifting: take every window, longest
+    # first, that holds no elder (left: no value >= birth; right: none >
+    # birth). The taken windows tile the span to the elder, so the minimum of
+    # their range-minima is the saddle on that side.
+    left = row_at + pos + 1  # the left windows end here, at the peak
+    right = left + 1  # and the right ones start here
+    left_min = np.full(pos.size, np.inf)
+    right_min = np.full(pos.size, np.inf)
+    for level in range(levels - 1, -1, -1):
+        w = 1 << level
+        at = np.maximum(left - w, row_at)
+        take = hi[level, at] < birth
+        left_min = np.where(take, np.minimum(left_min, lo[level, at]), left_min)
+        left -= take * w
+        take = hi[level, right] <= birth
+        right_min = np.where(take, np.minimum(right_min, lo[level, right]), right_min)
+        right += take * w
+    has_left = left - row_at > 1
+    has_right = right - row_at < q + 1
+    death = np.where(has_left & has_right, np.maximum(left_min, right_min),
+                     np.where(has_left, left_min,
+                              np.where(has_right, right_min, rows.min(axis=1)[row])))
+    pers = birth - death
+    alive = pers > 0.0
+    row, pos, pers = row[alive], pos[alive], pers[alive]
+    order = np.lexsort((-pers, row))  # stable: ties stay in position order
+    return row[order], pos[order], pers[order]
+
+
 def read_pgm(path) -> np.ndarray:
     """Read back a binary PGM written by ``write_pgm``."""
     raw = Path(path).read_bytes()

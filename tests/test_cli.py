@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import two_class_dataset
+from conftest import reference_pair_block, two_class_dataset
 
 from topopeaks import (
     LabeledDataset,
@@ -20,6 +20,7 @@ from topopeaks import (
     mean_image,
     write_pgm,
 )
+from topopeaks import cli, persistence
 from topopeaks.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -311,6 +312,24 @@ class TestDenoiseCommand:
             expect = tmp_path / f"expect_{k}.pgm"
             write_pgm(mean_image(denoise(noisy, k)), expect)
             assert (out_dir / f"denoised_k{k}.pgm").read_bytes() == expect.read_bytes()
+
+    def test_one_denoise_call_and_the_bytes_of_the_lifting_kernel(self, tmp_path, monkeypatch):
+        # every k comes from one library denoise call, and the images are
+        # those of the binary-lifting pairing the jumping kernel replaced
+        argv = ["denoise", "--size", "9", "--n-mz", "400", "--n-peaks", "6", "--seed", "5",
+                "--noise", "gaussian", "--sd", "0.3", "--k", "25,5,100", "--out-dir"]
+        calls = []
+        real = cli.denoise
+        monkeypatch.setattr(cli, "denoise", lambda image, k: calls.append(k) or real(image, k))
+        assert main([*argv, str(tmp_path / "jump")]) == 0
+        assert calls == [(25.0, 5.0, 100.0)]
+        monkeypatch.setattr(persistence, "_pair_block", reference_pair_block)
+        assert main([*argv, str(tmp_path / "lift")]) == 0
+        names = sorted(p.name for p in (tmp_path / "lift").iterdir())
+        assert len(names) == 5
+        for name in names:
+            got = (tmp_path / "jump" / name).read_bytes()
+            assert got == (tmp_path / "lift" / name).read_bytes(), name
 
     def test_bad_k_list_exits_1(self, tmp_path, capsys):
         rc = main(["denoise", "--out-dir", str(tmp_path / "den"), "--size", "8",

@@ -8,10 +8,11 @@ a large part of this file pits them against each other on adversarial inputs
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import detect_extrema, mk, to_persistence_vector
+from conftest import detect_extrema, mk, reference_pair_block, to_persistence_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,8 @@ from topopeaks import (
     write_pairs_csv,
     write_triples_csv,
 )
-from topopeaks.persistence import _BLOCK, _topk_vectors
+from topopeaks import persistence
+from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors
 
 
 class TestDetectExtrema:
@@ -341,6 +343,117 @@ class TestFilterTopK:
         noisy = add_noise(image, NoiseModel("gaussian", 0.3, seed=11))
         for k, expect in self._reference(noisy.spectra, (10.0, 25.0)).items():
             assert np.array_equal(denoise(noisy, k).spectra, expect)
+
+
+class TestPairBlock:
+    """The pointer-jumping kernel against binary lifting over range tables,
+    array for array: rows, positions and persistences in keep order."""
+
+    @staticmethod
+    def _assert_matches(rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        got = _pair_block(rows)
+        expect = reference_pair_block(rows)
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype
+            assert np.array_equal(g, e), rows
+
+    @staticmethod
+    def _v_rows(m, b=3):
+        """Rows of m peaks on a zero floor whose heights fall then rise again:
+        each arm's elders lie beyond the other arm's peaks, one jump apiece."""
+        rows = np.zeros((b, 2 * m + 1))
+        for r in range(b):
+            rows[r, 1::2] = np.abs(np.arange(m) - m / 2 + 0.25 * r) + 1.0
+        return rows
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(41)
+        for q in (4, 5, 17, 64, 200, 1000):
+            self._assert_matches(rng.uniform(0, 9, size=(_BLOCK, q)))
+            self._assert_matches(rng.normal(size=(3, q)))
+
+    def test_ties_and_plateaus(self):
+        rng = np.random.default_rng(42)
+        for q in (4, 9, 30, 300):
+            self._assert_matches(rng.integers(0, 3, size=(_BLOCK, q)))
+            rows = np.array([np.repeat(rng.integers(0, 4, size=q), rng.integers(1, 5, size=q))[:q]
+                             for _ in range(_BLOCK)])
+            self._assert_matches(rows)
+
+    def test_zero_and_constant_rows(self):
+        for q in (1, 2, 3, 50):
+            self._assert_matches(np.zeros((_BLOCK, q)))
+            self._assert_matches(np.arange(_BLOCK, dtype=float)[:, None] + np.zeros(q))
+
+    def test_every_short_row(self):
+        # every row of length 1, 2 and 3 over three levels, in one block each
+        for q in (1, 2, 3):
+            grid = np.stack(np.meshgrid(*[np.arange(3.0)] * q, indexing="ij"), -1)
+            self._assert_matches(grid.reshape(-1, q))
+
+    def test_staircases(self):
+        rng = np.random.default_rng(43)
+        for q in (2, 3, 40, 400):
+            steps = rng.integers(-1, 2, size=(_BLOCK, q))
+            self._assert_matches(np.cumsum(steps, axis=1))
+            ramp = np.arange(q, dtype=float)
+            self._assert_matches(np.stack([ramp, ramp[::-1], ramp % 3, -(ramp % 4)]))
+
+    @given(st.integers(1, _BLOCK), st.integers(1, 60), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_small_integer_blocks(self, b, q, data):
+        values = data.draw(st.lists(st.integers(0, 4), min_size=b * q, max_size=b * q))
+        self._assert_matches(np.reshape(values, (b, q)))
+
+    def test_v_rows_reach_the_cap_and_lift(self, monkeypatch):
+        lifted = []
+        lift = persistence._lift
+
+        def spy(rows, row, pos, birth):
+            lifted.append(pos.size)
+            return lift(rows, row, pos, birth)
+
+        monkeypatch.setattr(persistence, "_lift", spy)
+        rows = self._v_rows(200)
+        assert 200 // 2 > 3 * (rows.shape[1] + 2).bit_length()  # an arm outlasts the cap
+        self._assert_matches(rows)
+        assert len(lifted) == 1 and lifted[0] > 0
+
+    def test_random_rows_need_no_lifting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("binary lifting ran")
+
+        monkeypatch.setattr(persistence, "_lift", refuse)
+        rng = np.random.default_rng(44)
+        self._assert_matches(rng.normal(size=(_BLOCK, 3466)))
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    def test_lifting_finishes_any_partial_jump(self, monkeypatch, rounds):
+        # cut the jumping short: peaks halfway to their elders finish by lifting
+        jump = persistence._jump
+
+        def short(birth, link, low, below, _):
+            return jump(birth, link, low, below, rounds)
+
+        monkeypatch.setattr(persistence, "_jump", short)
+        rng = np.random.default_rng(45)
+        for q in (1, 2, 3, 33, 250):
+            self._assert_matches(rng.uniform(0, 9, size=(_BLOCK, q)))
+            self._assert_matches(rng.integers(0, 3, size=(_BLOCK, q)))
+        self._assert_matches(self._v_rows(30))
+
+    def test_wide_block_memory(self):
+        # no table as wide as the row: an 8 x 200,000 block of noise stays
+        # far below the 16 * 8 * q * log2(q) bytes of range tables
+        rows = np.abs(np.random.default_rng(46).normal(size=(_BLOCK, 200_000)))
+        tracemalloc.start()
+        try:
+            _topk_vectors(rows, 25.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
 
 
 class TestFeatureCsv:

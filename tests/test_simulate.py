@@ -169,6 +169,14 @@ class TestAddNoise:
         # integer draws, recovered through float subtraction
         assert np.max(np.abs(delta - np.round(delta))) < 1e-9
 
+    @pytest.mark.parametrize("lam", [1.0, 30.0])
+    def test_poisson_blocks_draw_the_whole_array_stream(self, lam):
+        # 144 pixels: two whole blocks of rows and a partial one
+        image, _ = generate_ground_truth(SMALL)
+        out = add_noise(image, NoiseModel("poisson", lam, seed=5))
+        counts = np.random.default_rng(5).poisson(lam, image.spectra.shape)
+        assert out.spectra.tobytes() == (image.spectra + counts).tobytes()
+
 
 class TestDenoise:
     def test_row_sparsity_bound(self):
@@ -192,6 +200,20 @@ class TestDenoise:
         image, _ = generate_ground_truth(SMALL)
         with pytest.raises(ValueError, match="k must be in"):
             denoise(image, 0)
+        with pytest.raises(ValueError, match="k must be in"):
+            denoise(image, (25.0, 0.0))
+
+    def test_tuple_k_gives_the_image_of_each_k_alone(self):
+        image, _ = generate_ground_truth(SMALL)
+        noisy = add_noise(image, NoiseModel("gaussian", 0.2))
+        ks = (25.0, 5.0, 100.0, 25.0)
+        out = denoise(noisy, ks)
+        assert isinstance(out, tuple) and len(out) == len(ks)
+        for k, cleaned in zip(ks, out):
+            assert (cleaned.width, cleaned.height) == (noisy.width, noisy.height)
+            assert np.array_equal(cleaned.mz, noisy.mz)
+            assert np.array_equal(cleaned.spectra, denoise(noisy, k).spectra), k
+            assert not cleaned.spectra.flags.writeable
 
 
 class TestMemory:
@@ -216,6 +238,12 @@ class TestMemory:
         assert peak < 1.5 * nbytes
         for out in (image, noisy, cleaned):
             assert not out.spectra.flags.writeable
+
+    def test_poisson_noise_peak_below_one_and_a_half_images(self):
+        image, _ = generate_ground_truth(SimulationSpec(size=30, n_mz=1000, n_peaks=20))
+        noisy, peak = self._peak(lambda: add_noise(image, NoiseModel("poisson", 1.0)))
+        assert peak < 1.5 * image.spectra.nbytes
+        assert not noisy.spectra.flags.writeable
 
 
 class TestMeanImage:
