@@ -208,73 +208,96 @@ class ForestModel:
     n_features: int
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                feats) -> tuple[float, int, float] | None:
-    """Lowest weighted-Gini split over the given (sorted) features.
+def _best_split(XT: np.ndarray, y: np.ndarray, idx: np.ndarray,
+                feats) -> tuple[float, int, float, np.ndarray, int, int] | None:
+    """Lowest weighted-Gini split of the rows ``idx`` over the given (sorted) features.
 
-    All features are scored at once: row j holds feature ``feats[j]`` sorted
-    over the node's samples, and column c the cut that leaves c + 1 samples
-    on the left. Ties go to the smaller feature index, then the smaller
-    threshold. Thresholds follow the rule in :func:`fit_forest`.
+    ``XT`` is the training matrix transposed (one row per feature) and ``y``
+    the int64 labels. All features are scored at once: row j holds feature
+    ``feats[j]`` sorted over the node's samples, and column c the cut that
+    leaves c + 1 samples on the left. Ties go to the smaller feature index,
+    then the smaller threshold. Thresholds follow the rule in
+    :func:`fit_forest`.
+
+    Returns None when every feature is constant on the node, else
+    ``(score, feature, threshold, order, i, l1)``: the winning feature's
+    stable sort order of ``idx``, whose first i + 1 entries are the rows at
+    or below the threshold, and the number of class-1 rows among them.
     """
     n = idx.size
-    xs = X[np.ix_(idx, feats)].T
-    order = np.argsort(xs, axis=1, kind="stable")
-    xv = np.take_along_axis(xs, order, axis=1)
-    ones = np.cumsum(y[idx][order], axis=1)
-    cut = np.arange(1, n)  # left-side sizes
+    xs = XT.take(feats, 0).take(idx, 1)
+    order = xs.argsort(1, kind="stable")
+    xv = xs[np.arange(len(feats))[:, None], order]
+    ones = y.take(idx).take(order).cumsum(1, dtype=np.float64)
+    cut = np.arange(1.0, n)  # left-side sizes
+    rest = n - cut  # right-side sizes
     l1 = ones[:, :-1]
-    l0 = cut - l1
+    # The weighted Gini (cut * gl + rest * gr) / n, in place, with the same
+    # IEEE operations in the same order as the textbook formula
+    # gl = 1 - (l1 / cut)**2 - (l0 / cut)**2, so every score keeps its bits.
+    g = l1 / cut
+    g *= g
+    np.subtract(1.0, g, out=g)
+    t = cut - l1  # l0
+    t /= cut
+    t *= t
+    g -= t
+    g *= cut
     r1 = ones[:, -1:] - l1
-    r0 = (n - cut) - r1
-    gl = 1.0 - (l1 / cut) ** 2 - (l0 / cut) ** 2
-    gr = 1.0 - (r1 / (n - cut)) ** 2 - (r0 / (n - cut)) ** 2
-    g = (cut * gl + (n - cut) * gr) / n
-    g[xv[:, 1:] == xv[:, :-1]] = np.inf
-    row_best = g.min(axis=1)
-    j = int(np.argmin(row_best))  # first minimum: smallest feature wins ties
-    if row_best[j] == np.inf:
+    t = rest - r1  # r0
+    r1 /= rest
+    r1 *= r1
+    np.subtract(1.0, r1, out=r1)
+    t /= rest
+    t *= t
+    r1 -= t
+    r1 *= rest
+    g += r1
+    g /= n
+    np.putmask(g, xv[:, 1:] == xv[:, :-1], np.inf)
+    # first minimum in row-major order: smallest feature, then smallest cut
+    j, i = divmod(int(g.argmin()), n - 1)
+    score = float(g[j, i])
+    if score == np.inf:
         return None
-    i = int(np.argmin(g[j]))  # first minimum: smallest threshold wins ties
     a, b = float(xv[j, i]), float(xv[j, i + 1])
     mid = (a + b) / 2.0  # Python floats: an overflow gives inf, not a warning
-    return float(row_best[j]), int(feats[j]), mid if a <= mid < b else a
+    thr = mid if a <= mid < b else a
+    return score, int(feats[j]), thr, order[j], i, int(ones[j, i])
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, start: np.ndarray,
+def _build_tree(XT: np.ndarray, y: np.ndarray, start: np.ndarray,
                 rng: np.random.Generator) -> TreeNode:
     # Depth-first, left child first, so the per-split candidate draws happen
-    # in a fixed order for a given seed.
-    q = X.shape[1]
+    # in a fixed order for a given seed. Each node carries its class counts,
+    # and its children are taken from the winning feature's sort order; the
+    # split never depends on the order of a node's rows.
+    q = XT.shape[0]
     n_cand = math.ceil(math.sqrt(q))
     root = TreeNode()
-    stack = [(root, start)]
+    c1 = int(y.take(start).sum())
+    stack = [(root, start, start.size - c1, c1)]
     while stack:
-        node, idx = stack.pop()
-        ysub = y[idx]
-        c1 = int(ysub.sum())
-        c0 = idx.size - c1
+        node, idx, c0, c1 = stack.pop()
         if c0 == 0 or c1 == 0:
             node.counts = (c0, c1)
             continue
         cand = np.sort(rng.choice(q, size=n_cand, replace=False))
-        found = _best_split(X, y, idx, cand)
+        found = _best_split(XT, y, idx, cand)
         if found is None:
             # The drawn features are constant on this node; an impure node
             # still splits if any other feature can separate it.
             rest = np.setdiff1d(np.arange(q), cand)
-            found = _best_split(X, y, idx, rest) if rest.size else None
+            found = _best_split(XT, y, idx, rest) if rest.size else None
         if found is None:
             node.counts = (c0, c1)
             continue
-        _, f, thr = found
-        mask = X[idx, f] <= thr
-        node.feature = f
-        node.threshold = thr
+        _, node.feature, node.threshold, order, i, l1 = found
+        l0 = i + 1 - l1
         node.left = TreeNode()
         node.right = TreeNode()
-        stack.append((node.right, idx[~mask]))
-        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx.take(order[i + 1:]), c0 - l0, c1 - l1))
+        stack.append((node.left, idx.take(order[:i + 1]), l0, l1))
     return root
 
 
@@ -296,14 +319,15 @@ def fit_forest(Z, y, *, n_trees: int = 1000, seed: int = 1234,
     n, q = Z.shape
     if n == 0 or q == 0:
         raise ValueError("cannot fit on an empty dataset")
-    yb = _as_binary(y, n)
+    yi = _as_binary(y, n).astype(np.int64)
     if n_trees < 1:
         raise ValueError("n_trees must be positive")
+    XT = np.ascontiguousarray(Z.T)
     trees = []
     for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child_seed)
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_build_tree(Z, yb, idx, rng))
+        trees.append(_build_tree(XT, yi, idx, rng))
     return ForestModel(tuple(trees), q)
 
 

@@ -127,7 +127,7 @@ def add_noise(image: MSImage, model: NoiseModel) -> MSImage:
         for s in range(0, spectra.shape[0], _NOISE_ROWS):
             block = spectra[s:s + _NOISE_ROWS]
             np.add(block, rng.poisson(model.level, block.shape), out=noisy[s:s + _NOISE_ROWS])
-    return MSImage(image.width, image.height, image.mz, _Made(noisy))
+    return MSImage(image.width, image.height, _Made(image.mz), _Made(noisy))
 
 
 def denoise(image: MSImage, k, workers: int = 1) -> MSImage | tuple[MSImage, ...]:
@@ -145,8 +145,8 @@ def denoise(image: MSImage, k, workers: int = 1) -> MSImage | tuple[MSImage, ...
     ks = tuple(map(_check_k, k)) if isinstance(k, tuple) else _check_k(k)
     rows = _topk_vectors(image.spectra, ks)
     if not isinstance(k, tuple):
-        return MSImage(image.width, image.height, image.mz, _Made(rows))
-    return tuple(MSImage(image.width, image.height, image.mz, _Made(r)) for r in rows)
+        return MSImage(image.width, image.height, _Made(image.mz), _Made(rows))
+    return tuple(MSImage(image.width, image.height, _Made(image.mz), _Made(r)) for r in rows)
 
 
 def mean_image(image: MSImage) -> np.ndarray:

@@ -48,12 +48,12 @@ from topopeaks.classify import (
 )
 
 
-def reference_best_split(X, y, idx, feats):
+def reference_best_split(XT, y, idx, feats):
     """The split search one feature at a time, as a reference for the 2-D one."""
     n = idx.size
     best = None
     for f in feats:
-        xs = X[idx, f]
+        xs = XT[f, idx]
         order = np.argsort(xs, kind="stable")
         xv = xs[order]
         yv = y[idx][order]
@@ -72,8 +72,62 @@ def reference_best_split(X, y, idx, feats):
         if best is None or g[i] < best[0]:
             a, b = float(xv[cut[i] - 1]), float(xv[cut[i]])
             thr = (a + b) / 2.0
-            best = (float(g[i]), int(f), thr if a <= thr < b else a)
+            best = (float(g[i]), int(f), thr if a <= thr < b else a,
+                    order, int(cut[i] - 1), int(l1[i]))
     return best
+
+
+def split_bits(found):
+    """A split with its score and threshold as exact bits (so -0.0 != 0.0)."""
+    if found is None:
+        return None
+    score, f, thr, order, i, l1 = found
+    return np.float64(score).tobytes(), f, np.float64(thr).tobytes(), order.tolist(), i, l1
+
+
+def reference_build_tree(X, y, start, rng):
+    """Tree growth that routes each node's rows by ``X[idx, f] <= thr`` and
+    counts its classes with ``y[idx].sum()``, as a reference for the carried
+    child rows and counts."""
+    q = X.shape[1]
+    n_cand = math.ceil(math.sqrt(q))
+    root = TreeNode()
+    stack = [(root, start)]
+    while stack:
+        node, idx = stack.pop()
+        c1 = int(y[idx].sum())
+        c0 = idx.size - c1
+        if c0 == 0 or c1 == 0:
+            node.counts = (c0, c1)
+            continue
+        cand = np.sort(rng.choice(q, size=n_cand, replace=False))
+        found = reference_best_split(X.T, y, idx, cand)
+        if found is None:
+            rest = np.setdiff1d(np.arange(q), cand)
+            found = reference_best_split(X.T, y, idx, rest) if rest.size else None
+        if found is None:
+            node.counts = (c0, c1)
+            continue
+        _, f, thr = found[:3]
+        mask = X[idx, f] <= thr
+        node.feature = f
+        node.threshold = thr
+        node.left = TreeNode()
+        node.right = TreeNode()
+        stack.append((node.right, idx[~mask]))
+        stack.append((node.left, idx[mask]))
+    return root
+
+
+def reference_fit_forest(Z, y, *, n_trees, seed, bootstrap):
+    """``fit_forest``'s seeding and bootstrap over :func:`reference_build_tree`."""
+    n, q = Z.shape
+    trees = []
+    for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child_seed)
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(reference_build_tree(Z, y, idx, rng))
+    return ForestModel(tuple(trees), q)
 
 
 def reference_predict_forest(model, z):
@@ -474,9 +528,9 @@ class TestFitForest:
         rng = np.random.default_rng(2)
         sizes = []
 
-        def spy(X, y, idx, feats):
+        def spy(XT, y, idx, feats):
             sizes.append(len(feats))
-            return _best_split(X, y, idx, feats)
+            return _best_split(XT, y, idx, feats)
 
         monkeypatch.setattr(classify_module, "_best_split", spy)
         for q, n_cand in ((1, 1), (2, 2), (5, 3), (9, 3), (10, 4), (17, 5)):
@@ -591,32 +645,59 @@ class TestFitForest:
 class TestSplitSearch:
     def test_matches_per_feature_search(self):
         # random nodes (repeated rows as in a bootstrap) and sorted candidate
-        # sets: the same score bits, feature and threshold, or None for both
+        # sets: the same score bits, feature, threshold bits, winning sort
+        # order, cut and left class-1 count, or None for both
         rng = np.random.default_rng(57)
         for trial in range(1200):
             n, q = int(rng.integers(2, 30)), int(rng.integers(1, 12))
             Z, y = tied_problem(rng, n, q)
+            XT = np.ascontiguousarray(Z.T)
             idx = rng.integers(0, n, size=int(rng.integers(2, 2 * n)))
             feats = np.sort(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False))
-            want = reference_best_split(Z, y.astype(float), idx, feats)
-            got = _best_split(Z, y.astype(float), idx, feats)
-            assert got == want, trial
+            want = reference_best_split(XT, y, idx, feats)
+            got = _best_split(XT, y, idx, feats)
+            assert split_bits(got) == split_bits(want), trial
+
+    def test_signed_zeros_in_one_node(self):
+        # -0.0 and 0.0 tie, so the cut between them is masked; the cuts
+        # beside the run of zeros (and their thresholds' bits) do not depend
+        # on which zero the stable sort puts last, so any row order of the
+        # node gives the same split
+        tiny = 5e-324
+        XT = np.array([[-0.0, 1.0, 0.0, -1.0, -0.0, 0.0, 2.0, 0.0],
+                       [0.0, tiny, -0.0, 0.0, -0.0, tiny, tiny, -0.0],
+                       [-tiny, 0.0, -0.0, -tiny, 0.0, -0.0, -0.0, -tiny]])
+        rng = np.random.default_rng(59)
+        for labels in ([0, 1, 0, 0, 0, 0, 1, 0], [1, 0, 1, 1, 0, 0, 0, 1]):
+            y = np.array(labels, dtype=np.int64)
+            for feats in ([0], [1], [2], [0, 1, 2]):
+                feats = np.array(feats)
+                seen = set()
+                for _ in range(20):
+                    idx = rng.permutation(8)
+                    got = _best_split(XT, y, idx, feats)
+                    assert split_bits(got) == split_bits(reference_best_split(XT, y, idx, feats))
+                    seen.add(split_bits(got)[:3])
+                assert len(seen) == 1
 
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                               st.integers(0, 1)), min_size=2, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_cut_leaves_both_children_non_empty(self, rows):
         # any finite values, near the float range's ends and subnormals too
-        Z = np.array([[v] for v, _ in rows])
-        y = np.array([float(c) for _, c in rows])
+        XT = np.array([[v for v, _ in rows]])
+        y = np.array([c for _, c in rows], dtype=np.int64)
         idx = np.arange(len(rows))
-        got = _best_split(Z, y, idx, np.array([0]))
-        assert got == reference_best_split(Z, y, idx, np.array([0]))
-        if np.all(Z == Z[0]):
+        got = _best_split(XT, y, idx, np.array([0]))
+        assert split_bits(got) == split_bits(reference_best_split(XT, y, idx, np.array([0])))
+        if np.all(XT == XT[0, 0]):
             assert got is None
         else:
-            left = Z[:, 0] <= got[2]
+            _, _, thr, order, i, l1 = got
+            left = XT[0] <= thr
             assert left.any() and not left.all()
+            assert sorted(order[:i + 1].tolist()) == np.flatnonzero(left).tolist()
+            assert l1 == int(y[left].sum())
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_forest_matches_per_feature_forest(self, monkeypatch, bootstrap):
@@ -631,9 +712,9 @@ class TestSplitSearch:
         problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(int)))
         sizes = []
 
-        def spy(X, y, idx, feats):
+        def spy(XT, y, idx, feats):
             sizes.append(len(feats))
-            return reference_best_split(X, y, idx, feats)
+            return reference_best_split(XT, y, idx, feats)
 
         for Z, y in problems:
             q = Z.shape[1]
@@ -645,6 +726,25 @@ class TestSplitSearch:
             assert fast == slow
             assert set(sizes) <= {math.ceil(math.sqrt(q)), q - math.ceil(math.sqrt(q))}
         assert 6 in sizes  # the last problem searched the rest
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_forest_matches_routed_forest(self, bootstrap):
+        # children taken from the winning sort order, with carried class
+        # counts, give the forest that routing each node's rows by
+        # X[idx, f] <= thr and recounting y[idx] gives
+        rng = np.random.default_rng(60)
+        problems = [tied_problem(rng, int(rng.integers(10, 60)), int(rng.integers(2, 20)))
+                    for _ in range(6)]
+        # all but one column constant: exercises the fallback to the rest
+        Z = np.ones((30, 10))
+        Z[:, 4] = np.round(rng.normal(size=30))
+        problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(np.int64)))
+        for Z, y in problems:
+            got = fit_forest(Z, y, n_trees=8, bootstrap=bootstrap, seed=11)
+            want = reference_fit_forest(Z, y.astype(np.int64), n_trees=8,
+                                        bootstrap=bootstrap, seed=11)
+            assert split_nodes(got)
+            assert got == want
 
 
 class TestPredictForest:

@@ -245,6 +245,15 @@ class TestMemory:
         assert peak < 1.5 * image.spectra.nbytes
         assert not noisy.spectra.flags.writeable
 
+    def test_outputs_share_the_frozen_mz_axis(self):
+        image, _ = generate_ground_truth(SMALL)
+        for model in (NoiseModel("gaussian", 0.2), NoiseModel("poisson", 1.0)):
+            assert add_noise(image, model).mz is image.mz
+        noisy = add_noise(image, NoiseModel("gaussian", 0.2))
+        assert denoise(noisy, 25).mz is noisy.mz
+        assert all(out.mz is noisy.mz for out in denoise(noisy, (10, 25)))
+        assert not noisy.mz.flags.writeable
+
 
 class TestMeanImage:
     def test_constant(self):
