@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 import numpy as np
 
 from .core import LabeledDataset, _mz_axis, _write_csv
-from .persistence import _check_k, _topk_vectors
+from .persistence import _topk_vectors
 
 # Nothing here starts a process. ProcessPoolExecutor stays importable from this
 # module only because bench/spans.py patches it when tracing; drop it together
@@ -21,7 +21,7 @@ def build_matrix(dataset: LabeledDataset, k) -> np.ndarray:
     ``dataset.mz``. Row i is zero except at the retained peak positions of
     spectrum i, which carry their persistence values.
     """
-    values = _topk_vectors(dataset.intensities, _check_k(k))
+    (values,) = _topk_vectors(dataset.intensities, (k,))
     values.flags.writeable = False
     return values
 

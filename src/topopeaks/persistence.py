@@ -2,10 +2,11 @@
 
 Peaks are tracked through the family of upper-level sets {x : f(x) >= a} as
 the threshold a sweeps downward. Each local maximum births a connected
-component; when two components meet at a local minimum the one with the lower
-birth dies there (elder rule, ties going to the smaller position), and the
-component of the global maximum dies at the global minimum of f. A peak's
-persistence is its birth minus its death.
+component. A peak is higher than another when it is taller, or as tall and
+further left; when two components meet at a local minimum, the one with the
+lower peak dies there (the elder rule), and the component of the global
+maximum dies at the global minimum of f. A peak's persistence is its birth
+minus its death.
 
 Three independent routes compute the same pairing:
 
@@ -17,9 +18,7 @@ Three independent routes compute the same pairing:
   pointer jumping over the sequence of peaks, carrying the valley minima
   between neighbouring peaks, for a batch of rows at once. It returns only
   the top-k% persistence vectors that ``build_matrix`` and ``denoise`` (and
-  through it the ``denoise`` command) use. The pairing does not depend on
-  k: given several k values it pairs each block of rows once and selects
-  the kept peaks once per k.
+  through it the ``denoise`` command) use, for several k from one pairing.
 
 Their outputs agree exactly: ``TestOracleAgreement`` in
 ``tests/test_persistence.py`` checks transform against the oracle triple for
@@ -225,35 +224,38 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
 _BLOCK = 8  # rows per kernel pass; larger blocks were no faster
 
 
-def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, below, rounds: int) -> np.ndarray:
-    """Pointer jumping (Wyllie 1979) towards each peak's nearest elder on one side.
+def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, thr: np.ndarray,
+          rounds: int) -> np.ndarray:
+    """Pointer jumping (Wyllie 1979) towards each search's nearest elder.
 
-    ``link[i]`` is a peak on that side of peak i, or the sentinel at index
-    ``len(link)``, whose birth is +inf. Every peak strictly between them is
-    not an elder of i, and ``low[i]`` is the minimum of the values between
-    them (meaningless once the link is the sentinel). While
-    ``below(birth[link[i]], birth[i])``, the link is no elder: peak i takes
-    its link's link and the lower of the two minima. Runs at most
-    ``rounds`` rounds, in place, and returns the peaks still searching.
+    Entry i is one peak's search on one side. ``link[i]`` is a peak on that
+    side, or a sentinel (birth +inf, linked to itself); no peak strictly
+    between them is an elder, and ``low[i]`` is the minimum of the values
+    between them. While ``birth[link[i]] < thr[i]``, the link is lower than
+    the peak too: entry i takes its link's link and the lower of the two
+    minima. Runs at most ``rounds`` rounds, in place, and returns the
+    entries still searching.
     """
-    act = np.flatnonzero(below(birth[link], birth[:-1]))
+    act = np.flatnonzero(birth[link] < thr)
     for _ in range(rounds):
         if not act.size:
             break
         nxt = link[act]
         low[act] = np.minimum(low[act], low[nxt])
         link[act] = link[nxt]
-        act = act[below(birth[link[act]], birth[act])]
+        act = act[birth[link[act]] < thr[act]]
     return act
 
 
-def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, birth: np.ndarray):
+def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarray,
+          right_thr: np.ndarray):
     """Nearest elder on each side of the given peaks by binary lifting.
 
-    Returns ``(has_left, left_min, has_right, right_min)``: whether the peak
-    has an elder on that side and the minimum between it and that elder. The
-    range tables span the whole block, so this runs only for the peaks that
-    :func:`_jump` leaves unfinished.
+    A value is lower than the peak while under ``left_thr`` on the left and
+    ``right_thr`` on the right, as in :func:`_jump`. Returns ``(has_left,
+    left_min, has_right, right_min)``: whether the peak has an elder on that
+    side and the minimum between it and that elder. The range tables span
+    the whole block, so this runs only for the peaks :func:`_jump` leaves.
     """
     b, q = rows.shape
     # Each row padded with +inf at both ends: a window that reaches past the
@@ -277,8 +279,8 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, birth: np.ndarray)
     lo = lo.reshape(levels, -1)
     row_at = row * width  # flat index where each peak's padded row starts
 
-    # Take every window, longest first, that holds no elder (left: no value
-    # >= birth; right: none > birth). The taken windows tile the span to the
+    # Take every window, longest first, that holds no elder: every value
+    # under the side's threshold. The taken windows tile the span to the
     # elder, so the minimum of their range-minima is the saddle on that side.
     left = row_at + pos + 1  # the left windows end here, at the peak
     right = left + 1  # and the right ones start here
@@ -287,10 +289,10 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, birth: np.ndarray)
     for level in range(levels - 1, -1, -1):
         w = 1 << level
         at = np.maximum(left - w, row_at)
-        take = hi[level, at] < birth
+        take = hi[level, at] < left_thr
         left_min = np.where(take, np.minimum(left_min, lo[level, at]), left_min)
         left -= take * w
-        take = hi[level, right] <= birth
+        take = hi[level, right] < right_thr
         right_min = np.where(take, np.minimum(right_min, lo[level, right]), right_min)
         right += take * w
     return left - row_at > 1, left_min, right - row_at < q + 1, right_min
@@ -304,8 +306,8 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     b, q = rows.shape
     # Peaks: local maxima of the total order (-value, position), i.e. above
-    # the left neighbour and not below the right one. A plateau that rises
-    # again yields a zero-persistence peak, dropped below. Two peaks are
+    # the left neighbour and at least the right one. A plateau that rises
+    # again yields a zero-persistence peak, dropped at the end. Two peaks are
     # never adjacent, and a row's nearest elder on either side is a peak.
     is_peak = np.ones((b, q), dtype=bool)
     is_peak[:, 1:] = rows[:, 1:] > rows[:, :-1]
@@ -314,32 +316,33 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = rows.ravel()
     at = row * q + pos
     n = pos.size
-    birth = np.append(flat[at], np.inf)  # index n is the sentinel past a row's end
     # valley[i]: the minimum between peak i and peak i + 1 (peak i's own value
     # is above it); across a row end it is never read.
     valley = np.minimum.reduceat(flat, at)
 
-    # Links start at the neighbouring peak, or at the sentinel at a row end.
+    # One search per peak and side: entries 0..n-1 look left, n+1..2n right.
+    # Links start at the neighbouring peak, or at the row end's sentinel, n or 2n+1.
     first = np.ones(n, dtype=bool)
     first[1:] = row[1:] != row[:-1]
     last = np.append(first[1:], True)
     index = np.arange(n)
-    left = np.where(first, n, index - 1)
-    right = np.where(last, n, index + 1)
-    left_min = np.append(np.inf, valley[:-1])
-    right_min = valley
-    # Left elders are >= the birth, right ones >: the tie rule of transform.
+    link = np.concatenate((np.where(first, n, index - 1), [n],
+                           np.where(last, 2 * n + 1, index + n + 2), [2 * n + 1]))
+    low = np.concatenate(([np.inf], valley[:-1], [np.inf], valley, [np.inf]))
+    birth = np.append(flat[at], np.inf)
+    # The order of heights as thresholds: a peak of birth b is lower than a
+    # value x >= b on its left, x > b (x >= nextafter(b, +inf)) on its right.
+    thr = np.concatenate((birth, np.nextafter(birth, np.inf)))
     # A V-shaped row needs one round per peak of one arm, so the rounds are
     # capped and the peaks still searching finish by binary lifting.
-    rounds = 3 * (q + 2).bit_length()
-    rest = np.union1d(_jump(birth, left, left_min, np.less, rounds),
-                      _jump(birth, right, right_min, np.less_equal, rounds))
-    has_left = left < n
-    has_right = right < n
+    rest = _jump(np.tile(birth, 2), link, low, thr, 3 * (q + 2).bit_length())
+    has_left, has_right = link[:n] < n, link[n + 1:-1] < 2 * n + 1
+    left_min, right_min = low[:n], low[n + 1:-1]
     birth = birth[:-1]
     if rest.size:
+        rest = np.unique(rest % (n + 1))
         has_left[rest], left_min[rest], has_right[rest], right_min[rest] = _lift(
-            rows, row[rest], pos[rest], birth[rest])
+            rows, row[rest], pos[rest], thr[rest], thr[rest + n + 1])
     death = np.where(has_left & has_right, np.maximum(left_min, right_min),
                      np.where(has_left, left_min,
                               np.where(has_right, right_min, rows.min(axis=1)[row])))
@@ -350,30 +353,28 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row[order], pos[order], pers[order]
 
 
-def _topk_vectors(rows: np.ndarray, k):
-    """Top-k% persistence vector of every row of an (n, q) matrix.
+def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
+    """Top-k% persistence vectors of the rows of an (n, q) matrix, one per k of ``ks``.
 
-    Row i is zero except at the ceil(k% of m_i) most persistent of its m_i
-    positive-persistence peaks (ties to the smaller position), which carry
-    their persistence. A peak's death is its topographic saddle: the minimum
-    between it and its nearest elder on each side (the first value >= it to
-    the left, > it to the right), the higher of the two where both exist,
-    the row minimum where neither does. This is the elder-rule pairing of
-    :func:`transform`, computed for all rows at once in fixed-size blocks.
+    In the matrix of k, row i is zero except at the ceil(k% of m_i) most
+    persistent of its m_i positive-persistence peaks (ties to the smaller
+    position), which carry their persistence. A peak's death is its
+    topographic saddle: the minimum between it and its nearest higher peak
+    on each side, the higher of the two where both exist, the row minimum
+    where neither does. This is the elder-rule pairing of :func:`transform`.
 
-    Both elders are peaks, so each peak searches the block's sequence of
-    peaks, not the row: :func:`_jump` follows links to ever farther peaks,
-    round by round. After ``3 * (q + 2).bit_length()`` rounds a side, the
+    The order of heights (taller, or as tall and further left) is one
+    threshold per search: a value x is lower than a peak of birth b while
+    x < b on the left, and while x < nextafter(b, +inf), that is x <= b for
+    finite values, on the right. Both elders are peaks, so each search walks
+    the block's sequence of peaks: :func:`_jump` follows links to ever
+    farther peaks for at most ``3 * (q + 2).bit_length()`` rounds, and the
     peaks still searching finish by binary lifting (:func:`_lift`), so the
     work per block is bounded and the range tables are built only then.
-
-    ``k`` is one percentage, giving one matrix, or a tuple of them, giving a
-    tuple of matrices in the same order. The pairing does not depend on k,
-    so each block is paired once; only the selection of the kept peaks runs
-    once per k.
+    Each block of rows is paired once; only the selection runs once per k.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    ks = k if isinstance(k, tuple) else (k,)
+    ks = tuple(map(_check_k, ks))
     outs = tuple(np.zeros(rows.shape) for _ in ks)
     for s in range(0, rows.shape[0], _BLOCK):
         block = rows[s:s + _BLOCK]
@@ -381,10 +382,10 @@ def _topk_vectors(rows: np.ndarray, k):
         counts = np.bincount(row, minlength=block.shape[0])
         first = np.concatenate(([0], np.cumsum(counts)[:-1]))
         rank = np.arange(row.size) - first[row]  # place within the row's order
-        for kk, out in zip(ks, outs):
-            kept = rank < np.ceil(kk * counts / 100.0)[row]
+        for k, out in zip(ks, outs):
+            kept = rank < np.ceil(k * counts / 100.0)[row]
             out[s + row[kept], pos[kept]] = pers[kept]
-    return outs if isinstance(k, tuple) else outs[0]
+    return outs
 
 
 def write_triples_csv(triples, mz: np.ndarray, path) -> None:

@@ -142,11 +142,9 @@ def denoise(image: MSImage, k, workers: int = 1) -> MSImage | tuple[MSImage, ...
     kernel in this process, and the parameter remains only because the
     benchmark's output check (bench/workloads.py) still passes ``workers=1``.
     """
-    ks = tuple(map(_check_k, k)) if isinstance(k, tuple) else _check_k(k)
-    rows = _topk_vectors(image.spectra, ks)
-    if not isinstance(k, tuple):
-        return MSImage(image.width, image.height, _Made(image.mz), _Made(rows))
-    return tuple(MSImage(image.width, image.height, _Made(image.mz), _Made(r)) for r in rows)
+    images = tuple(MSImage(image.width, image.height, _Made(image.mz), _Made(rows))
+                   for rows in _topk_vectors(image.spectra, k if isinstance(k, tuple) else (k,)))
+    return images if isinstance(k, tuple) else images[0]
 
 
 def mean_image(image: MSImage) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +110,30 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         for flag in ("--in", "--out", "--k", "--reduced", "--diagram"):
             assert flag in out
+
+
+class TestRuntimeDependencies:
+    def test_numpy_is_the_only_dependency(self):
+        # a fresh interpreter loads nothing outside the standard library but
+        # numpy and the package itself
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import topopeaks, topopeaks.cli\n"
+            "json.dump(sorted(set(sys.modules) - before), sys.stdout)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
+        # dunder aliases such as __mp_main__ name no distribution
+        foreign = {name for name in loaded
+                   if not (name.startswith("__") and name.endswith("__"))
+                   and name not in sys.stdlib_module_names
+                   and name not in ("numpy", "topopeaks")}
+        assert "topopeaks" in loaded and "numpy" in loaded
+        assert not foreign, sorted(foreign)
 
 
 class TestTransformCommand:

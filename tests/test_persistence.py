@@ -322,7 +322,7 @@ class TestFilterTopK:
             rows = self._mixed_rows(rng, q)
             ks = (0.001, 7.5, 25.0, 50.0, 99.9, 100.0)
             for k, expect in self._reference(rows, ks).items():
-                assert np.array_equal(_topk_vectors(rows, k), expect), (q, k)
+                assert np.array_equal(_topk_vectors(rows, (k,))[0], expect), (q, k)
 
     def test_several_k_match_single_k_calls(self):
         # one pairing pass for a tuple of k gives, per k, the matrix of a
@@ -334,7 +334,7 @@ class TestFilterTopK:
             got = _topk_vectors(rows, ks)
             assert isinstance(got, tuple) and len(got) == len(ks)
             for k, matrix in zip(ks, got):
-                assert np.array_equal(matrix, _topk_vectors(rows, k)), (q, k)
+                assert np.array_equal(matrix, _topk_vectors(rows, (k,))[0]), (q, k)
         assert _topk_vectors(np.zeros((0, 5)), (10.0, 20.0))[1].shape == (0, 5)
 
     def test_denoise_matches_composition(self):
@@ -406,19 +406,46 @@ class TestPairBlock:
         values = data.draw(st.lists(st.integers(0, 4), min_size=b * q, max_size=b * q))
         self._assert_matches(np.reshape(values, (b, q)))
 
-    def test_v_rows_reach_the_cap_and_lift(self, monkeypatch):
+    @staticmethod
+    def _count_lifts(monkeypatch):
+        """Spy on binary lifting: the list it returns gets each call's peak count."""
         lifted = []
         lift = persistence._lift
 
-        def spy(rows, row, pos, birth):
+        def spy(rows, row, pos, left_thr, right_thr):
             lifted.append(pos.size)
-            return lift(rows, row, pos, birth)
+            return lift(rows, row, pos, left_thr, right_thr)
 
         monkeypatch.setattr(persistence, "_lift", spy)
+        return lifted
+
+    def test_v_rows_reach_the_cap_and_lift(self, monkeypatch):
+        lifted = self._count_lifts(monkeypatch)
         rows = self._v_rows(200)
         assert 200 // 2 > 3 * (rows.shape[1] + 2).bit_length()  # an arm outlasts the cap
         self._assert_matches(rows)
         assert len(lifted) == 1 and lifted[0] > 0
+
+    def test_lifting_matches_the_sweep_oracle(self, monkeypatch):
+        # the lifting fallback against the sweep oracle, not against
+        # reference_pair_block, which lifts over the same tables
+        lifted = self._count_lifts(monkeypatch)
+        rng = np.random.default_rng(47)
+        v = self._v_rows(200, _BLOCK)
+        noise = rng.uniform(0, 9, size=(_BLOCK // 2, v.shape[1]))
+        # on a zero floor every saddle is 0 whichever elder is found; valleys
+        # that deepen away from the centre make it depend on where each
+        # search stops, on the far side of the V too
+        uneven = v.copy()
+        depth = 0.004 * np.abs(np.arange(0, v.shape[1], 2) - v.shape[1] / 2)
+        uneven[:, 0::2] = 0.9 - depth + rng.uniform(0, 0.002, size=uneven[:, 0::2].shape)
+        ks = (7.5, 25.0, 100.0)
+        for rows in (v, np.concatenate((v[:_BLOCK // 2], noise)), uneven):
+            lifted.clear()
+            expect = TestFilterTopK._reference(rows, ks)
+            for k, got in zip(ks, _topk_vectors(rows, ks)):
+                assert np.array_equal(got, expect[k]), k
+            assert len(lifted) == 1 and lifted[0] > 0
 
     def test_random_rows_need_no_lifting(self, monkeypatch):
         def refuse(*args):
@@ -433,8 +460,8 @@ class TestPairBlock:
         # cut the jumping short: peaks halfway to their elders finish by lifting
         jump = persistence._jump
 
-        def short(birth, link, low, below, _):
-            return jump(birth, link, low, below, rounds)
+        def short(birth, link, low, thr, _):
+            return jump(birth, link, low, thr, rounds)
 
         monkeypatch.setattr(persistence, "_jump", short)
         rng = np.random.default_rng(45)
@@ -449,7 +476,7 @@ class TestPairBlock:
         rows = np.abs(np.random.default_rng(46).normal(size=(_BLOCK, 200_000)))
         tracemalloc.start()
         try:
-            _topk_vectors(rows, 25.0)
+            _topk_vectors(rows, (25.0,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
