@@ -208,6 +208,22 @@ class ForestModel:
     n_features: int
 
 
+def _gini_term(m, x):
+    """One side's share of a cut's weighted Gini, times the node size: m
+    samples, x of them class 1, by the textbook operations in their order."""
+    return m * (1.0 - (x / m) ** 2 - ((m - x) / m) ** 2)
+
+
+# _GINI[m, x] = _gini_term(m, x) for sides of up to _GINI_MAX samples. A node
+# that small costs numpy calls more than arithmetic, so it reads its scores
+# here with two flat takes. Row 0 and x > m are never read.
+_GINI_MAX = 128
+_GINI = np.zeros((_GINI_MAX + 1, _GINI_MAX + 1))
+_GINI[1:] = _gini_term(np.arange(1, _GINI_MAX + 1)[:, None], np.arange(_GINI_MAX + 1))
+_GINI.flags.writeable = False
+_GINI_ROWS = np.arange(_GINI_MAX + 1) * (_GINI_MAX + 1)  # flat offset of row m
+
+
 def _best_split(XT: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 feats) -> tuple[float, int, float, np.ndarray, int, int] | None:
     """Lowest weighted-Gini split of the rows ``idx`` over the given (sorted) features.
@@ -215,8 +231,11 @@ def _best_split(XT: np.ndarray, y: np.ndarray, idx: np.ndarray,
     ``XT`` is the training matrix transposed (one row per feature) and ``y``
     the int64 labels. All features are scored at once: row j holds feature
     ``feats[j]`` sorted over the node's samples, and column c the cut that
-    leaves c + 1 samples on the left. Ties go to the smaller feature index,
-    then the smaller threshold. Thresholds follow the rule in
+    leaves c + 1 samples on the left. A cut's score is
+    (_gini_term(left) + _gini_term(right)) / n, read from the table
+    ``_GINI`` when the node has at most ``_GINI_MAX`` rows, so every score
+    has the textbook formula's bits either way. Ties go to the smaller
+    feature index, then the smaller threshold. Thresholds follow the rule in
     :func:`fit_forest`.
 
     Returns None when every feature is constant on the node, else
@@ -228,31 +247,18 @@ def _best_split(XT: np.ndarray, y: np.ndarray, idx: np.ndarray,
     xs = XT.take(feats, 0).take(idx, 1)
     order = xs.argsort(1, kind="stable")
     xv = xs[np.arange(len(feats))[:, None], order]
-    ones = y.take(idx).take(order).cumsum(1, dtype=np.float64)
-    cut = np.arange(1.0, n)  # left-side sizes
-    rest = n - cut  # right-side sizes
-    l1 = ones[:, :-1]
-    # The weighted Gini (cut * gl + rest * gr) / n, in place, with the same
-    # IEEE operations in the same order as the textbook formula
-    # gl = 1 - (l1 / cut)**2 - (l0 / cut)**2, so every score keeps its bits.
-    g = l1 / cut
-    g *= g
-    np.subtract(1.0, g, out=g)
-    t = cut - l1  # l0
-    t /= cut
-    t *= t
-    g -= t
-    g *= cut
-    r1 = ones[:, -1:] - l1
-    t = rest - r1  # r0
-    r1 /= rest
-    r1 *= r1
-    np.subtract(1.0, r1, out=r1)
-    t /= rest
-    t *= t
-    r1 -= t
-    r1 *= rest
-    g += r1
+    ones = y.take(idx).take(order).cumsum(1)
+    l1 = ones[:, :-1]  # class-1 rows left of each cut; every row ends at c1
+    c1 = int(ones[0, -1])
+    if n <= _GINI_MAX:
+        # flat index of (cut, l1); (rest, c1 - l1) is its mirror about (n, c1)
+        left = l1 + _GINI_ROWS[1:n]
+        g = _GINI.take(left)
+        g += _GINI.take(_GINI_ROWS[n] + c1 - left)
+    else:
+        cut = np.arange(1, n)
+        g = _gini_term(cut, l1)
+        g += _gini_term(n - cut, c1 - l1)
     g /= n
     np.putmask(g, xv[:, 1:] == xv[:, :-1], np.inf)
     # first minimum in row-major order: smallest feature, then smallest cut

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -39,6 +40,8 @@ from topopeaks.classify import (
     ForestModel,
     LogisticModel,
     TreeNode,
+    _GINI,
+    _GINI_MAX,
     _TOL,
     _best_split,
     _expit,
@@ -641,6 +644,20 @@ class TestFitForest:
         with pytest.raises(TypeError):
             hash(m)
 
+    def test_large_node_memory_is_linear(self):
+        # the Gini table is capped, not sized by n: a 20,000-row root scores
+        # its cuts directly instead of through an n x n table (6.4 GB)
+        Z = np.round(np.random.default_rng(62).normal(size=(20_000, 2)), 1)
+        y = (Z[:, 0] > 0).astype(np.int64)
+        tracemalloc.start()
+        try:
+            m = fit_forest(Z, y, n_trees=1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.trees[0].feature == 0
+        assert peak < 20e6
+
 
 class TestSplitSearch:
     def test_matches_per_feature_search(self):
@@ -657,6 +674,36 @@ class TestSplitSearch:
             want = reference_best_split(XT, y, idx, feats)
             got = _best_split(XT, y, idx, feats)
             assert split_bits(got) == split_bits(want), trial
+
+    def test_matches_per_feature_search_across_the_table_cap(self):
+        # nodes of 2 to ~400 rows: those of at most _GINI_MAX read the Gini
+        # table, larger ones compute their terms directly; both give the
+        # textbook scores' bits
+        rng = np.random.default_rng(63)
+        sizes = []
+        for trial in range(150):
+            n, q = int(rng.integers(2, 300)), int(rng.integers(1, 8))
+            Z, y = tied_problem(rng, n, q)
+            XT = np.ascontiguousarray(Z.T)
+            idx = rng.integers(0, n, size=int(rng.integers(2, 400)))
+            feats = np.sort(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False))
+            sizes.append(idx.size)
+            want = reference_best_split(XT, y, idx, feats)
+            got = _best_split(XT, y, idx, feats)
+            assert split_bits(got) == split_bits(want), trial
+        assert min(sizes) <= _GINI_MAX < max(sizes)
+
+    def test_gini_table_holds_the_textbook_bits(self):
+        # each side's term m * g(m, x), computed as reference_best_split does
+        for m in range(1, _GINI_MAX + 1):
+            cut = np.full(m + 1, m)
+            l1 = np.arange(m + 1)
+            l0 = cut - l1
+            term = cut * (1.0 - (l1 / cut) ** 2 - (l0 / cut) ** 2)
+            assert _GINI[m, :m + 1].tobytes() == term.tobytes(), m
+        assert not _GINI.flags.writeable
+        with pytest.raises(ValueError):
+            _GINI[1, 0] = 0.0
 
     def test_signed_zeros_in_one_node(self):
         # -0.0 and 0.0 tie, so the cut between them is masked; the cuts
@@ -745,6 +792,15 @@ class TestSplitSearch:
                                         bootstrap=bootstrap, seed=11)
             assert split_nodes(got)
             assert got == want
+
+    def test_forest_across_the_table_cap_matches_routed_forest(self):
+        # 300 rows: the upper nodes of every tree score their cuts directly,
+        # the lower ones through the Gini table
+        rng = np.random.default_rng(64)
+        Z, y = tied_problem(rng, 300, 9)
+        got = fit_forest(Z, y, n_trees=4, seed=13)
+        want = reference_fit_forest(Z, y.astype(np.int64), n_trees=4, bootstrap=True, seed=13)
+        assert got == want
 
 
 class TestPredictForest:
