@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: transform, classify, simulate, denoise, bench. All results go to
-files; progress lines go to standard error. Exit codes: 0 on success, 1 on a
+Subcommands: transform, classify, simulate, denoise, bench. Data go only to
+stdout or files, progress lines to stderr. Exit codes: 0 on success, 1 on a
 validation problem (bad flags or bad input values), 2 on an I/O problem.
 """
 
@@ -109,11 +109,14 @@ def _noise_model(args) -> NoiseModel:
     return NoiseModel(args.noise, level, args.seed)
 
 
-def _parse_k_list(text: str) -> list[float]:
+def _parse_list(text: str, name: str, kind=float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"bad k list {text!r}: expected comma-separated numbers") from None
+        values = []
+    if not values:
+        raise ValueError(f"bad {name} list {text!r}: expected comma-separated {kind.__name__}s")
+    return values
 
 
 def _cmd_transform(args) -> int:
@@ -173,9 +176,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    ks = [persistence._check_k(k) for k in _parse_k_list(args.k)]
-    if not ks:
-        raise ValueError("need at least one k value")
+    ks = [persistence._check_k(k) for k in _parse_list(args.k, "k")]
     out_dir, noisy = _simulate_and_write(args)
     # One pairing pass serves every k; only the top-k selection runs per k.
     for k, cleaned in zip(ks, denoise(noisy, tuple(ks))):
@@ -186,7 +187,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _parse_list(args.sizes, "size", int)
     rows = bench_denoise(sizes, _noise_model(args), args.k, baseline=args.baseline,
                          n_mz=args.n_mz, n_peaks=args.n_peaks, seed=args.seed)
     first = rows[0].seconds

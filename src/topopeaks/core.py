@@ -7,6 +7,8 @@ CSV is the canonical text format; image grids are written as binary PGM (P5).
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +154,29 @@ class LabeledDataset:
         return LabeledDataset(self.mz, self.intensities[idx], self.labels[idx], groups)
 
 
+def _csv_rows(path):
+    """Yield ``(line number, fields)`` for each CSV row of ``path``, one at a time.
+
+    Standard CSV quoting applies. Lines holding only whitespace are skipped.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for fields in reader:
+            if len(fields) > 1 or fields and fields[0].strip():
+                yield reader.line_num, fields
+
+
+def _finite_floats(path, lineno, fields) -> list[float]:
+    """A row's fields parsed by ``float``, which keeps every value's bits."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}: line {lineno}: values must be finite")
+    return values
+
+
 def load_spectrum_csv(path) -> Spectrum:
     """Read one spectrum from a headerless two-column ``mz,intensity`` file.
 
@@ -160,31 +185,20 @@ def load_spectrum_csv(path) -> Spectrum:
     intensities are rejected.
     """
     rows: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'mz,intensity'")
-            try:
-                mz, inten = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected 'mz,intensity'") from None
-            if not (np.isfinite(mz) and np.isfinite(inten)):
-                raise ValueError(f"{path}: line {lineno}: values must be finite")
-            if inten < 0:
-                raise ValueError(f"{path}: line {lineno}: negative intensity {inten}")
-            rows.append((mz, inten))
+    for lineno, fields in _csv_rows(path):
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 'mz,intensity'")
+        mz, inten = _finite_floats(path, lineno, fields)
+        if inten < 0:
+            raise ValueError(f"{path}: line {lineno}: negative intensity {inten}")
+        rows.append((mz, inten))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    mz = np.array([r[0] for r in rows])
-    if mz.size > 1 and np.any(np.diff(mz) == 0):
-        dup = mz[:-1][np.diff(mz) == 0][0]
-        raise ValueError(f"{path}: duplicate mz value {dup}")
-    return Spectrum(mz, np.array([r[1] for r in rows]))
+    mz, intensity = np.array(sorted(rows)).T
+    dup = mz[1:][mz[1:] == mz[:-1]]
+    if dup.size:
+        raise ValueError(f"{path}: duplicate mz value {dup[0]}")
+    return Spectrum(mz, intensity)
 
 
 def _write_csv(path, rows, header=None) -> None:
@@ -211,52 +225,36 @@ def load_dataset_csv(spectra_path, labels_path) -> LabeledDataset:
     spectrum. ``labels_path``: one ``label,group`` row per spectrum, same order,
     labels restricted to 0/1.
     """
-    with open(spectra_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{spectra_path}: empty file") from None
-        try:
-            mz = np.array([float(v) for v in header])
-        except ValueError:
-            raise ValueError(f"{spectra_path}: line 1: header must list mz values") from None
-        q = mz.size
-        data: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != q:
-                raise ValueError(
-                    f"{spectra_path}: line {lineno}: expected {q} intensities, got {len(row)}"
-                )
-            try:
-                data.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{spectra_path}: line {lineno}: non-numeric intensity") from None
-
-    labels: list[int] = []
-    groups: list[str] = []
-    with open(labels_path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{labels_path}: line {lineno}: expected 'label,group'")
-            if parts[0] not in ("0", "1"):
-                raise ValueError(
-                    f"{labels_path}: line {lineno}: label must be 0 or 1, got {parts[0]!r}"
-                )
-            labels.append(int(parts[0]))
-            groups.append(parts[1])
-    if len(labels) != len(data):
+    rows = _csv_rows(spectra_path)
+    lineno, header = next(rows, (0, None))
+    if header is None:
+        raise ValueError(f"{spectra_path}: empty file")
+    mz = _finite_floats(spectra_path, lineno, header)
+    data = array("d")  # 8 bytes a value, not a Python float each
+    for lineno, fields in rows:
+        if len(fields) != len(mz):
+            raise ValueError(
+                f"{spectra_path}: line {lineno}: expected {len(mz)} intensities, got {len(fields)}"
+            )
+        values = _finite_floats(spectra_path, lineno, fields)
+        if min(values) < 0:
+            raise ValueError(f"{spectra_path}: line {lineno}: negative intensity {min(values)}")
+        data.extend(values)
+    intensities = np.frombuffer(data).reshape(-1, len(mz))
+    labels, groups = [], []
+    for lineno, fields in _csv_rows(labels_path):
+        if len(fields) != 2:
+            raise ValueError(f"{labels_path}: line {lineno}: expected 'label,group'")
+        if fields[0].strip() not in ("0", "1"):
+            raise ValueError(f"{labels_path}: line {lineno}: label must be 0 or 1, "
+                             f"got {fields[0]!r}")
+        labels.append(int(fields[0]))
+        groups.append(fields[1].strip())
+    if len(labels) != len(intensities):
         raise ValueError(
-            f"label count {len(labels)} does not match spectrum count {len(data)}"
+            f"label count {len(labels)} does not match spectrum count {len(intensities)}"
         )
-    intensities = np.array(data) if data else np.zeros((0, q))
-    return LabeledDataset(mz, intensities, np.array(labels, dtype=np.int64), tuple(groups))
+    return LabeledDataset(mz, _Made(intensities), labels, groups)
 
 
 def write_pgm(grid, path) -> None:

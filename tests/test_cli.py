@@ -405,6 +405,17 @@ class TestBenchCommand:
         assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["30,abc", ","])
+@pytest.mark.parametrize("command,out_flag,flag,name", [("bench", "--out", "--sizes", "size"),
+                                                        ("denoise", "--out-dir", "--k", "k")])
+def test_bad_list_flag_exits_1_naming_the_list(tmp_path, capsys, command, out_flag, flag, name,
+                                               value):
+    rc = main([command, out_flag, str(tmp_path / "out"), flag, value])
+    assert rc == 1
+    assert f"bad {name} list {value!r}: expected comma-separated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_subcommand_is_deterministic(tmp_path):
     # same flags, two runs, identical bytes
     args = ["simulate", "--out-dir", None, "--size", "8", "--n-mz", "400",

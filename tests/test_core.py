@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from conftest import read_pgm
@@ -15,6 +17,7 @@ from topopeaks import (
     write_pgm,
     write_spectrum_csv,
 )
+from topopeaks.core import _write_csv
 
 
 class TestSpectrum:
@@ -242,6 +245,111 @@ class TestDatasetCsv:
         sp, lp = self._write(tmp_path, "1.0\n1\n2\n3\n", "0,a\n1,b\n")
         with pytest.raises(ValueError, match="label count 2 does not match spectrum count 3"):
             load_dataset_csv(sp, lp)
+
+
+# One rule set for every CSV the loaders read. Each case is (file, text,
+# error line or None). A None case must load the file's canonical content:
+# spectrum 1,10 / 2,20; spectra header 100,200 and rows 1,2 / 3,4; labels
+# 0,a / 1,b. The other two files of a dataset hold their canonical content.
+_CSV_CASES = {
+    "whitespace-only line": [
+        ("spectrum", "1,10\n  \t\n2,20\n", None),
+        ("spectra", "100,200\n1,2\n   \n3,4\n", None),
+        ("labels", "0,a\n \n1,b\n", None),
+    ],
+    "blank first line": [
+        ("spectrum", "\n1,10\n2,20\n", None),
+        ("spectra", "\n100,200\n1,2\n3,4\n", None),
+        ("labels", "  \n0,a\n1,b\n", None),
+    ],
+    "quoted fields": [
+        ("spectrum", '"1","10"\n2,"20"\n', None),
+        ("spectra", '"100","200"\n"1",2\n3,"4"\n', None),
+        ("labels", '"0","a"\n1,"b"\n', None),
+    ],
+    "line of commas": [
+        ("spectrum", "1,10\n,\n", 2),
+        ("spectra", "100,200\n1,2\n,\n", 3),
+        ("labels", "0,a\n,\n", 2),
+    ],
+    "non-numeric": [
+        ("spectrum", "1,10\n2,x\n", 2),
+        ("spectra", "100,x\n1,2\n3,4\n", 1),
+        ("spectra", "100,200\n1,x\n3,4\n", 2),
+    ],
+    "wrong width": [
+        ("spectrum", "1,10\n2,20,30\n", 2),
+        ("spectra", "100,200\n1,2\n3\n", 3),
+        ("labels", "0,a\n1\n", 2),
+    ],
+    "non-finite": [
+        ("spectrum", "1,10\n2,nan\n", 2),
+        ("spectrum", "inf,10\n2,20\n", 1),
+        ("spectra", "100,nan\n1,2\n3,4\n", 1),
+        ("spectra", "100,200\n1,inf\n3,4\n", 2),
+    ],
+    "negative": [
+        ("spectrum", "1,10\n2,-20\n", 2),
+        ("spectra", "100,200\n1,2\n3,-4\n", 3),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "which,text,line",
+    [case for cases in _CSV_CASES.values() for case in cases],
+    ids=[f"{name}-{case[0]}-{i}" for name, cases in _CSV_CASES.items()
+         for i, case in enumerate(cases)],
+)
+def test_csv_files_share_one_rule_set(tmp_path, which, text, line):
+    files = {"spectrum": "1,10\n2,20\n", "spectra": "100,200\n1,2\n3,4\n",
+             "labels": "0,a\n1,b\n", which: text}
+    for name, content in files.items():
+        (tmp_path / f"{name}.csv").write_text(content)
+    path = tmp_path / f"{which}.csv"
+
+    def load():
+        if which == "spectrum":
+            return load_spectrum_csv(path)
+        return load_dataset_csv(tmp_path / "spectra.csv", tmp_path / "labels.csv")
+
+    if line is not None:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+            load()
+    elif which == "spectrum":
+        s = load()
+        np.testing.assert_array_equal(s.mz, [1.0, 2.0])
+        np.testing.assert_array_equal(s.intensity, [10.0, 20.0])
+    else:
+        ds = load()
+        np.testing.assert_array_equal(ds.mz, [100.0, 200.0])
+        np.testing.assert_array_equal(ds.intensities, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+        assert ds.groups == ("a", "b")
+
+
+def test_csv_round_trip_keeps_every_bit(tmp_path):
+    rng = np.random.default_rng(16)
+    n, q = 40, 25
+    # values over the whole float64 range, subnormals and negative m/z included
+    mz = np.cumsum(rng.random(q) * 10.0 ** rng.integers(-3, 3, q)) - 50.0
+    spectra = rng.random((n, q)) * 10.0 ** rng.integers(-320, 300, (n, q))
+    spectra[0, 0] = 0.0
+    s = Spectrum(mz, spectra[1])
+    write_spectrum_csv(s, tmp_path / "s.csv")
+    back = load_spectrum_csv(tmp_path / "s.csv")
+    assert back.mz.tobytes() == s.mz.tobytes()
+    assert back.intensity.tobytes() == s.intensity.tobytes()
+
+    labels = rng.integers(0, 2, n)
+    groups = [f"p{i % 5}" for i in range(n)]
+    _write_csv(tmp_path / "spectra.csv", spectra.tolist(), header=mz.tolist())
+    _write_csv(tmp_path / "labels.csv", zip(labels.tolist(), groups))
+    ds = load_dataset_csv(tmp_path / "spectra.csv", tmp_path / "labels.csv")
+    assert ds.mz.tobytes() == mz.tobytes()
+    assert ds.intensities.tobytes() == spectra.tobytes()
+    assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
+    assert ds.groups == tuple(groups)
 
 
 class TestPgm:
