@@ -13,17 +13,9 @@ from pathlib import Path
 
 from . import persistence
 from .classify import group_cv
-from .core import MSImage, _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
+from .core import _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
 from .diagram import write_diagram_csv
-from .simulate import (
-    NoiseModel,
-    SimulationSpec,
-    add_noise,
-    bench_denoise,
-    denoise,
-    generate_ground_truth,
-    mean_image,
-)
+from .simulate import NoiseModel, SimulationSpec, bench_denoise, simulate_means
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,18 +147,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _simulate_and_write(args) -> tuple[Path, MSImage]:
-    """Generate the flagged image, write its ground-truth and noisy PGMs."""
+def _simulate_and_write(args, ks=()) -> tuple[Path, list]:
+    """Simulate the flagged image, write its ground-truth and noisy PGMs.
+
+    Returns the output directory and the denoised mean grid of each k.
+    """
     spec = SimulationSpec(size=args.size, n_mz=args.n_mz, n_peaks=args.n_peaks,
                           baseline=args.baseline, seed=args.seed)
-    image, _ = generate_ground_truth(spec)
-    noisy = add_noise(image, _noise_model(args))
+    truth, noisy, *cleaned = simulate_means(spec, _noise_model(args), ks)
     _log(f"generated {args.size}x{args.size} image with {args.n_mz} mz values")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(mean_image(image), out_dir / "ground_truth.pgm")
-    write_pgm(mean_image(noisy), out_dir / "noisy.pgm")
-    return out_dir, noisy
+    write_pgm(truth, out_dir / "ground_truth.pgm")
+    write_pgm(noisy, out_dir / "noisy.pgm")
+    return out_dir, cleaned
 
 
 def _cmd_simulate(args) -> int:
@@ -176,12 +170,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    ks = [persistence._check_k(k) for k in _parse_list(args.k, "k")]
-    out_dir, noisy = _simulate_and_write(args)
-    # One pairing pass serves every k; only the top-k selection runs per k.
-    for k, cleaned in zip(ks, denoise(noisy, tuple(ks))):
+    ks = _parse_list(args.k, "k")
+    out_dir, cleaned = _simulate_and_write(args, tuple(ks))
+    for k, grid in zip(ks, cleaned):
         name = f"denoised_k{k:g}.pgm"
-        write_pgm(mean_image(cleaned), out_dir / name)
+        write_pgm(grid, out_dir / name)
         _log(f"wrote {out_dir / name}")
     return 0
 

@@ -230,6 +230,8 @@ def load_dataset_csv(spectra_path, labels_path) -> LabeledDataset:
     if header is None:
         raise ValueError(f"{spectra_path}: empty file")
     mz = _finite_floats(spectra_path, lineno, header)
+    if any(b <= a for a, b in zip(mz, mz[1:])):
+        raise ValueError(f"{spectra_path}: line {lineno}: mz values must be strictly increasing")
     data = array("d")  # 8 bytes a value, not a Python float each
     for lineno, fields in rows:
         if len(fields) != len(mz):

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MSImage, _Made
+from .core import MSImage, _Made, _check_finite_nonnegative
 from .persistence import _check_k, _topk_vectors
 
 MZ_RANGE = (500.0, 2000.0)  # the m/z axis spans this range
 PEAK_SIGMA = 2.0  # Gaussian peak width, in axis steps
 _EDGE = 15  # keep peaks this many axis steps away from the axis ends
 _GAP = 10  # minimum distance between peak positions, in axis steps
-_NOISE_ROWS = 64  # Poisson counts are drawn this many pixels at a time
+_NOISE_ROWS = 64  # pixels are simulated and noised this many at a time
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,12 @@ def _region_masks(size: int) -> tuple[np.ndarray, np.ndarray]:
     return circle, square
 
 
-def generate_ground_truth(spec: SimulationSpec) -> tuple[MSImage, np.ndarray]:
-    """Noiseless image plus the boolean mask of its two regions.
+def _simulation(spec: SimulationSpec):
+    """The m/z axis, the region mask and a function giving ground-truth rows.
 
-    Peak positions are drawn uniformly over the axis subject to a minimum
-    separation of 10 steps (so every peak is a distinct spectral mode), peak
-    heights uniformly from [1, 10]; a random half of the peaks goes to the
-    circle, the rest to the square. Identical specs give bit-identical output.
+    ``truth(s, e)`` returns a fresh (e - s, n_mz) array holding the spectra
+    of pixels s..e-1 in row-major order; rows of any split of the pixels
+    have the same bits as the rows of the whole image.
     """
     rng = np.random.default_rng(spec.seed)
     slots = spec.n_mz - 2 * _EDGE - (spec.n_peaks - 1) * _GAP
@@ -101,13 +100,48 @@ def generate_ground_truth(spec: SimulationSpec) -> tuple[MSImage, np.ndarray]:
     circle_mask, square_mask = _region_masks(spec.size)
     if (circle_mask & square_mask).any():
         raise RuntimeError("region masks overlap")
-    n_px = spec.size * spec.size
-    spectra = np.full((n_px, spec.n_mz), float(spec.baseline))
-    spectra[circle_mask.ravel()] = region_spectrum(circle_ids)
-    spectra[square_mask.ravel()] = region_spectrum(square_ids)
+    circle, square = circle_mask.ravel(), square_mask.ravel()
+    circle_spectrum = region_spectrum(circle_ids)
+    square_spectrum = region_spectrum(square_ids)
+
+    def truth(s: int, e: int) -> np.ndarray:
+        rows = np.full((e - s, spec.n_mz), float(spec.baseline))
+        rows[circle[s:e]] = circle_spectrum
+        rows[square[s:e]] = square_spectrum
+        return rows
+
     mz = np.linspace(MZ_RANGE[0], MZ_RANGE[1], spec.n_mz)
-    image = MSImage(spec.size, spec.size, mz, _Made(spectra))
-    return image, circle_mask | square_mask
+    return mz, circle_mask | square_mask, truth
+
+
+def generate_ground_truth(spec: SimulationSpec) -> tuple[MSImage, np.ndarray]:
+    """Noiseless image plus the boolean mask of its two regions.
+
+    Peak positions are drawn uniformly over the axis subject to a minimum
+    separation of 10 steps (so every peak is a distinct spectral mode), peak
+    heights uniformly from [1, 10]; a random half of the peaks goes to the
+    circle, the rest to the square. Identical specs give bit-identical output.
+    """
+    mz, mask, truth = _simulation(spec)
+    image = MSImage(spec.size, spec.size, mz, _Made(truth(0, spec.size * spec.size)))
+    return image, mask
+
+
+def _noisy(rng: np.random.Generator, rows: np.ndarray, model: NoiseModel,
+           out: np.ndarray) -> np.ndarray:
+    """Write ``rows`` plus the next block of ``rng``'s noise stream into ``out``.
+
+    Successive blocks draw the same stream as one draw over the whole image.
+    """
+    if model.kind == "gaussian":
+        rng.standard_normal(out=out)
+        out *= model.level
+        out += rows
+        np.maximum(out, 0.0, out=out)
+    else:
+        # integer counts, drawn per block so no image-sized int64 array is made
+        np.add(rows, rng.poisson(model.level, rows.shape), out=out)
+    return out
 
 
 def add_noise(image: MSImage, model: NoiseModel) -> MSImage:
@@ -115,19 +149,37 @@ def add_noise(image: MSImage, model: NoiseModel) -> MSImage:
     if model.kind == "none":
         return image
     rng = np.random.default_rng(model.seed)
-    if model.kind == "gaussian":
-        noisy = rng.normal(0.0, model.level, image.spectra.shape)
-        noisy += image.spectra
-        np.maximum(noisy, 0.0, out=noisy)
-    else:
-        # Integer counts, drawn in row blocks (the same stream as one whole
-        # draw) so that no int64 array the size of the image is made.
-        spectra = image.spectra
-        noisy = np.empty(spectra.shape)
-        for s in range(0, spectra.shape[0], _NOISE_ROWS):
-            block = spectra[s:s + _NOISE_ROWS]
-            np.add(block, rng.poisson(model.level, block.shape), out=noisy[s:s + _NOISE_ROWS])
+    spectra = image.spectra
+    noisy = np.empty(spectra.shape)
+    for s in range(0, spectra.shape[0], _NOISE_ROWS):
+        _noisy(rng, spectra[s:s + _NOISE_ROWS], model, noisy[s:s + _NOISE_ROWS])
     return MSImage(image.width, image.height, _Made(image.mz), _Made(noisy))
+
+
+def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.ndarray, ...]:
+    """Mean grids of the ground truth, the noisy image and its denoised image per k.
+
+    The grids equal :func:`mean_image` of :func:`generate_ground_truth`,
+    :func:`add_noise` and :func:`denoise` at each k of ``ks``, bit for bit,
+    but the pixels stream through in blocks of ``_NOISE_ROWS``: a block is
+    made, noised, paired once for every k and reduced to its row means, so
+    memory does not grow with the image.
+    """
+    ks = tuple(map(_check_k, ks))
+    _, _, truth = _simulation(spec)
+    n_px = spec.size * spec.size
+    rng = np.random.default_rng(model.seed)
+    means = np.empty((2 + len(ks), n_px))
+    buf = np.empty((min(_NOISE_ROWS, n_px), spec.n_mz))
+    for s in range(0, n_px, _NOISE_ROWS):
+        e = min(s + _NOISE_ROWS, n_px)
+        rows = truth(s, e)
+        _check_finite_nonnegative(rows, "intensities")
+        noisy = rows if model.kind == "none" else _noisy(rng, rows, model, buf[:e - s])
+        _check_finite_nonnegative(noisy, "intensities")
+        for grid, block in zip(means[:, s:e], (rows, noisy, *_topk_vectors(noisy, ks))):
+            grid[:] = block.mean(axis=1)
+    return tuple(grid.reshape(spec.size, spec.size) for grid in means)
 
 
 def denoise(image: MSImage, k, workers: int = 1) -> MSImage | tuple[MSImage, ...]:

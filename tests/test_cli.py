@@ -310,6 +310,14 @@ class TestSimulateCommand:
         assert rc == 1
         assert "noise level must be finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "denoise"])
+    def test_infinite_baseline_exits_1_before_writing(self, tmp_path, capsys, command):
+        rc = main([command, "--out-dir", str(tmp_path / "sim"), "--size", "8",
+                   "--n-mz", "400", "--n-peaks", "4", "--baseline", "inf"])
+        assert rc == 1
+        assert "intensities must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_too_small_size_exits_1(self, tmp_path):
         rc = main(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "4"])
         assert rc == 1
@@ -342,15 +350,16 @@ class TestDenoiseCommand:
             assert (out_dir / f"denoised_k{k}.pgm").read_bytes() == expect.read_bytes()
 
     def test_one_denoise_call_and_the_bytes_of_the_lifting_kernel(self, tmp_path, monkeypatch):
-        # every k comes from one library denoise call, and the images are
-        # those of the binary-lifting pairing the jumping kernel replaced
+        # every pixel is paired once for all k, and the images are those of
+        # the binary-lifting pairing the jumping kernel replaced
         argv = ["denoise", "--size", "9", "--n-mz", "400", "--n-peaks", "6", "--seed", "5",
                 "--noise", "gaussian", "--sd", "0.3", "--k", "25,5,100", "--out-dir"]
-        calls = []
-        real = cli.denoise
-        monkeypatch.setattr(cli, "denoise", lambda image, k: calls.append(k) or real(image, k))
+        paired = []
+        real = persistence._pair_block
+        monkeypatch.setattr(persistence, "_pair_block",
+                            lambda rows: paired.append(len(rows)) or real(rows))
         assert main([*argv, str(tmp_path / "jump")]) == 0
-        assert calls == [(25.0, 5.0, 100.0)]
+        assert sum(paired) == 9 * 9
         monkeypatch.setattr(persistence, "_pair_block", reference_pair_block)
         assert main([*argv, str(tmp_path / "lift")]) == 0
         names = sorted(p.name for p in (tmp_path / "lift").iterdir())

@@ -246,6 +246,14 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="label count 2 does not match spectrum count 3"):
             load_dataset_csv(sp, lp)
 
+    @pytest.mark.parametrize("text,line", [("200,100\n1,2\n", 1), ("100,100\n1,2\n", 1),
+                                           ("\n100,300,200\n1,2,3\n", 2)])
+    def test_unordered_header_names_file_and_line(self, tmp_path, text, line):
+        sp, lp = self._write(tmp_path, text, "0,a\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{sp}: line {line}: mz values must be strictly increasing")):
+            load_dataset_csv(sp, lp)
+
 
 # One rule set for every CSV the loaders read. Each case is (file, text,
 # error line or None). A None case must load the file's canonical content:

@@ -22,8 +22,10 @@ from topopeaks import (
     otsu_threshold,
     recovered_mask,
     reduce,
+    simulate_means,
     transform,
 )
+from topopeaks.cli import main
 from topopeaks.simulate import MZ_RANGE, _region_masks
 
 SMALL = SimulationSpec(size=12, n_mz=500, n_peaks=10, seed=3)
@@ -177,6 +179,35 @@ class TestAddNoise:
         counts = np.random.default_rng(5).poisson(lam, image.spectra.shape)
         assert out.spectra.tobytes() == (image.spectra + counts).tobytes()
 
+    @pytest.mark.parametrize("sd", [0.0, 0.3, 50.0])
+    def test_gaussian_blocks_equal_the_whole_draw(self, sd):
+        # 144 pixels: two whole blocks of rows and a partial one
+        image, _ = generate_ground_truth(SMALL)
+        out = add_noise(image, NoiseModel("gaussian", sd, seed=5))
+        rng = np.random.default_rng(5)
+        whole = np.maximum(rng.normal(0, sd, image.spectra.shape) + image.spectra, 0)
+        assert out.spectra.tobytes() == whole.tobytes()
+
+
+class TestSimulateMeans:
+    """The streamed mean grids against the whole-image pipeline, bit for bit."""
+
+    @pytest.mark.parametrize("size", [8, 9, 13])  # 9 and 13 end in a short block
+    @pytest.mark.parametrize("model", [NoiseModel("gaussian", 0.3, 7),
+                                       NoiseModel("poisson", 2.0, 7), NoiseModel()])
+    @pytest.mark.parametrize("baseline", [0.0, 1.5])
+    def test_equal_to_mean_image_of_the_full_images(self, size, model, baseline):
+        spec = SimulationSpec(size=size, n_mz=400, n_peaks=6, baseline=baseline, seed=4)
+        ks = (5.0, 50.0, 100.0)
+        image, _ = generate_ground_truth(spec)
+        noisy = add_noise(image, model)
+        expect = [image, noisy, *denoise(noisy, ks)]
+        got = simulate_means(spec, model, ks)
+        assert len(got) == len(expect)
+        for grid, full in zip(got, expect):
+            assert grid.shape == (size, size)
+            assert grid.tobytes() == mean_image(full).tobytes()
+
 
 class TestDenoise:
     def test_row_sparsity_bound(self):
@@ -244,6 +275,17 @@ class TestMemory:
         noisy, peak = self._peak(lambda: add_noise(image, NoiseModel("poisson", 1.0)))
         assert peak < 1.5 * image.spectra.nbytes
         assert not noisy.spectra.flags.writeable
+
+    def test_denoise_command_memory_does_not_grow_with_the_image(self, tmp_path):
+        # pixels stream through in blocks: 25 MB of spectra at size 30,
+        # 56 MB at size 45, and neither is ever held whole
+        peaks = {}
+        for size in (30, 45):
+            argv = ["denoise", "--size", str(size), "--out-dir", str(tmp_path / str(size))]
+            rc, peaks[size] = self._peak(lambda: main(argv))
+            assert rc == 0
+        assert peaks[30] <= 25e6
+        assert abs(peaks[45] - peaks[30]) <= 2e6
 
     def test_outputs_share_the_frozen_mz_axis(self):
         image, _ = generate_ground_truth(SMALL)
