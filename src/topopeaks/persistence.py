@@ -8,21 +8,28 @@ lower peak dies there (the elder rule), and the component of the global
 maximum dies at the global minimum of f. A peak's persistence is its birth
 minus its death.
 
-Three independent routes compute the same pairing:
+Three independent routes compute the same pairing. One serves production:
 
-* :func:`transform` splits the axis recursively at pairing minima, driven by
-  an explicit work stack and rank-ordered maxima.
+* :func:`_pair_block` finds each peak's nearest elder and saddle by pointer
+  jumping over the sequence of peaks, carrying the valley minima between
+  neighbouring peaks, for a block of rows at once. :func:`transform` reads
+  its triples from a block of one row, so the ``transform`` command and
+  every persistence diagram run it; :func:`_topk_vectors` reads the top-k%
+  persistence vectors that ``build_matrix`` and ``denoise`` use from it,
+  for several k from one pairing.
+
+Two are references that no command runs:
+
+* :func:`_transform_values`, the paper's route, splits the axis recursively
+  at pairing minima, driven by an explicit work stack and rank-ordered
+  maxima. It is quadratic in the number of peaks.
 * :func:`oracle_transform` performs a literal threshold sweep with interval
   components.
-* :func:`_topk_vectors` finds each peak's nearest elder and saddle by
-  pointer jumping over the sequence of peaks, carrying the valley minima
-  between neighbouring peaks, for a batch of rows at once. It returns only
-  the top-k% persistence vectors that ``build_matrix`` and ``denoise`` (and
-  through it the ``denoise`` command) use, for several k from one pairing.
 
-Their outputs agree exactly: ``TestOracleAgreement`` in
-``tests/test_persistence.py`` checks transform against the oracle triple for
-triple, and ``TestFilterTopK.test_fast_path_matches_composition`` and
+Their outputs agree exactly: ``tests/test_persistence.py`` checks
+transform against both references triple for triple
+(``TestKernelTransform``, ``TestOracleAgreement``), and
+``TestFilterTopK.test_fast_path_matches_composition`` and
 ``test_denoise_matches_composition`` check the batched vectors against the
 oracle composed with :func:`reduce` and :func:`filter_top_k`.
 """
@@ -130,9 +137,20 @@ def _transform_values(values: np.ndarray) -> list[FeatureTriple]:
 def transform(spectrum: Spectrum) -> list[FeatureTriple]:
     """Persistence transformation: one (position, birth, death) per maximum.
 
-    The result is sorted by descending birth, ties by ascending position.
+    The result is sorted by descending birth, ties by ascending position. The
+    pairing is :func:`_pair_block`'s on a block of one row; births and deaths
+    are input values, selected and never computed. A row without a
+    positive-persistence peak (constant, or of length 1) gives ``(0, v, v)``.
     """
-    return _transform_values(spectrum.intensity)
+    values = np.asarray(spectrum.intensity, dtype=np.float64)
+    _, pos, _, death = _pair_block(values[None, :])
+    if not pos.size:
+        v = float(values[0])
+        return [FeatureTriple(0, v, v)]
+    birth = values[pos]
+    order = np.lexsort((pos, -birth))
+    return list(map(FeatureTriple, pos[order].tolist(), birth[order].tolist(),
+                    death[order].tolist()))
 
 
 def _oracle_values(values: np.ndarray) -> list[FeatureTriple]:
@@ -298,8 +316,8 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarr
     return left - row_at > 1, left_min, right - row_at < q + 1, right_min
 
 
-def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, position and persistence of every positive-persistence peak of a block.
+def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row, position, persistence and death of every positive-persistence peak of a block.
 
     The peaks come grouped by row, most persistent first within a row, ties
     in position order: the order in which :func:`_topk_vectors` keeps them.
@@ -331,8 +349,10 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     low = np.concatenate(([np.inf], valley[:-1], [np.inf], valley, [np.inf]))
     birth = np.append(flat[at], np.inf)
     # The order of heights as thresholds: a peak of birth b is lower than a
-    # value x >= b on its left, x > b (x >= nextafter(b, +inf)) on its right.
-    thr = np.concatenate((birth, np.nextafter(birth, np.inf)))
+    # value x >= b on its left, x > b (x >= nextafter(b, +inf)) on its right;
+    # for the largest finite b that is +inf, and every finite x <= b is below it.
+    with np.errstate(over="ignore"):
+        thr = np.concatenate((birth, np.nextafter(birth, np.inf)))
     # A V-shaped row needs one round per peak of one arm, so the rounds are
     # capped and the peaks still searching finish by binary lifting.
     rest = _jump(np.tile(birth, 2), link, low, thr, 3 * (q + 2).bit_length())
@@ -348,9 +368,9 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                               np.where(has_right, right_min, rows.min(axis=1)[row])))
     pers = birth - death
     alive = pers > 0.0
-    row, pos, pers = row[alive], pos[alive], pers[alive]
+    row, pos, pers, death = row[alive], pos[alive], pers[alive], death[alive]
     order = np.lexsort((-pers, row))  # stable: ties stay in position order
-    return row[order], pos[order], pers[order]
+    return row[order], pos[order], pers[order], death[order]
 
 
 def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
@@ -378,7 +398,7 @@ def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
     outs = tuple(np.zeros(rows.shape) for _ in ks)
     for s in range(0, rows.shape[0], _BLOCK):
         block = rows[s:s + _BLOCK]
-        row, pos, pers = _pair_block(block)
+        row, pos, pers, _ = _pair_block(block)
         counts = np.bincount(row, minlength=block.shape[0])
         first = np.concatenate(([0], np.cumsum(counts)[:-1]))
         rank = np.arange(row.size) - first[row]  # place within the row's order

@@ -22,6 +22,7 @@ PEAK_SIGMA = 2.0  # Gaussian peak width, in axis steps
 _EDGE = 15  # keep peaks this many axis steps away from the axis ends
 _GAP = 10  # minimum distance between peak positions, in axis steps
 _NOISE_ROWS = 64  # pixels are simulated and noised this many at a time
+_BENCH_REPEATS = 3  # bench_denoise averages this many calls per size
 
 
 @dataclass(frozen=True)
@@ -255,19 +256,25 @@ class BenchResult:
 def bench_denoise(sizes, noise: NoiseModel, k=25.0, *, baseline: float = 0.0,
                   n_mz: int = 3466, n_peaks: int = 50,
                   seed: int = 1234) -> list[BenchResult]:
-    """Wall-clock denoising time per image size, one row per size."""
+    """Wall-clock denoising time per image size, one row per size.
+
+    Each size's time is the mean of three ``denoise`` calls, one per round
+    over all sizes, each on a freshly simulated noisy image. A shared
+    machine's throughput drifts over seconds; every size then averages over
+    the same spells, so the drift cancels from the ratios between sizes.
+    """
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("need at least one size")
     k = _check_k(k)
-    results = []
-    for size in sizes:
-        spec = SimulationSpec(size=size, baseline=baseline, n_mz=n_mz,
-                              n_peaks=n_peaks, seed=seed)
-        image, _ = generate_ground_truth(spec)
-        noisy = add_noise(image, noise)
-        t0 = time.perf_counter()
-        denoise(noisy, k)
-        dt = time.perf_counter() - t0
-        results.append(BenchResult(size, size * size, dt, dt / (size * size)))
-    return results
+    specs = [SimulationSpec(size=size, baseline=baseline, n_mz=n_mz,
+                            n_peaks=n_peaks, seed=seed) for size in sizes]
+    mean = [0.0] * len(specs)
+    for _ in range(_BENCH_REPEATS):
+        for i, spec in enumerate(specs):
+            noisy = add_noise(generate_ground_truth(spec)[0], noise)
+            t0 = time.perf_counter()
+            denoise(noisy, k)
+            mean[i] += (time.perf_counter() - t0) / _BENCH_REPEATS
+    return [BenchResult(size, size * size, dt, dt / (size * size))
+            for size, dt in zip(sizes, mean)]

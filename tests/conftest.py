@@ -90,8 +90,8 @@ def to_persistence_vector(pairs, q: int) -> np.ndarray:
 
 # Binary lifting over range tables as wide as the row: the differential
 # reference for persistence._pair_block, which jumps over the peaks instead.
-def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, position and persistence of every positive-persistence peak of a block.
+def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row, position, persistence and death of every positive-persistence peak of a block.
 
     The peaks come grouped by row, most persistent first within a row, ties
     in position order: the order in which :func:`_topk_vectors` keeps them.
@@ -151,9 +151,9 @@ def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
                               np.where(has_right, right_min, rows.min(axis=1)[row])))
     pers = birth - death
     alive = pers > 0.0
-    row, pos, pers = row[alive], pos[alive], pers[alive]
+    row, pos, pers, death = row[alive], pos[alive], pers[alive], death[alive]
     order = np.lexsort((-pers, row))  # stable: ties stay in position order
-    return row[order], pos[order], pers[order]
+    return row[order], pos[order], pers[order], death[order]
 
 
 def read_pgm(path) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Persistence transformation: extrema, pairing, reduction, filtering.
 
-transform() and oracle_transform() are independent routes to the same answer;
-a large part of this file pits them against each other on adversarial inputs
-(ties, plateaus, boundary peaks, near-degenerate saddles).
+transform() (the batched kernel), _transform_values() (the paper's
+divide-and-conquer route) and oracle_transform() (a threshold sweep) are
+independent routes to the same answer; a large part of this file pits them
+against each other on adversarial inputs (ties, plateaus, boundary peaks,
+near-degenerate saddles).
 """
 
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from conftest import detect_extrema, mk, reference_pair_block, to_persistence_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _descending_peaks, _random_spectrum
 
 from topopeaks import (
     FeatureTriple,
@@ -33,7 +37,7 @@ from topopeaks import (
     write_triples_csv,
 )
 from topopeaks import persistence
-from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors
+from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors, _transform_values
 
 
 class TestDetectExtrema:
@@ -207,6 +211,68 @@ class TestOracleAgreement:
             s = mk(vals)
             assert transform(s) == oracle_transform(s)
 
+    def test_divide_and_conquer_route_matches_oracle(self):
+        # the paper's route, kept as transform's reference, on the mix of
+        # the acceptance gate, which now runs transform on the kernel
+        rng = np.random.default_rng(12345)
+        for _ in range(1000):
+            s = _random_spectrum(rng)
+            assert _transform_values(s.intensity) == oracle_transform(s)
+
+
+class TestKernelTransform:
+    """transform reads the pairing kernel; the divide-and-conquer route it
+    replaced is its reference, triple for triple, down to the Python types."""
+
+    @staticmethod
+    def _assert_matches(values):
+        values = np.asarray(values, dtype=np.float64)
+        got = transform(mk(values))
+        expect = _transform_values(values)
+        assert got == expect, values
+        for g, e in zip(got, expect):
+            assert list(map(type, g)) == list(map(type, e)) == [int, float, float]
+
+    def test_random_and_tied_spectra(self):
+        rng = np.random.default_rng(48)
+        for q in (2, 3, 17, 119, 1000, 3466):
+            self._assert_matches(rng.uniform(0, 100, q))
+            self._assert_matches(rng.integers(0, 3, q))
+            self._assert_matches(np.round(rng.uniform(0, 10, q), 1))
+
+    def test_constant_and_single_point(self):
+        for vals in ([0.0], [7.5], [0.0] * 5, [3.0] * 40):
+            self._assert_matches(vals)
+
+    def test_v_shapes(self):
+        for q in (3, 4, 51, 400):
+            arm = np.abs(np.arange(q) - q // 2).astype(float)
+            self._assert_matches(arm)  # one valley, peaks at both ends
+            self._assert_matches(arm.max() - arm)  # one peak
+            floor = np.zeros(2 * q + 1)
+            floor[1::2] = arm + 1.0  # peaks that fall then rise again
+            self._assert_matches(floor)
+
+    def test_huge_values_with_zeros(self):
+        rng = np.random.default_rng(49)
+        huge = [1e300, 5e299, np.finfo(np.float64).max]
+        for q in (5, 60, 300):
+            self._assert_matches(np.where(rng.random(q) < 0.5, 0.0, rng.choice(huge, q)))
+
+    def test_descending_peaks(self):
+        for m in (1, 10, 500):
+            self._assert_matches(_descending_peaks(m, 2 * m + 2))
+
+    def test_many_peaks_take_seconds_not_minutes(self):
+        # 20,000 peaks on 40,002 points: quadratic for the divide-and-conquer
+        # route, which takes about 2 s at 8,000 peaks on a 2-core x86 machine
+        s = mk(_descending_peaks(20_000, 40_002))
+        t0 = time.perf_counter()
+        got = transform(s)
+        elapsed = time.perf_counter() - t0
+        assert got == oracle_transform(s)
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
 
 class TestReduce:
     def test_subtracts(self):
@@ -347,14 +413,14 @@ class TestFilterTopK:
 
 class TestPairBlock:
     """The pointer-jumping kernel against binary lifting over range tables,
-    array for array: rows, positions and persistences in keep order."""
+    array for array: rows, positions, persistences and deaths in keep order."""
 
     @staticmethod
     def _assert_matches(rows):
         rows = np.asarray(rows, dtype=np.float64)
         got = _pair_block(rows)
         expect = reference_pair_block(rows)
-        for g, e in zip(got, expect):
+        for g, e in zip(got, expect, strict=True):
             assert g.dtype == e.dtype
             assert np.array_equal(g, e), rows
 
