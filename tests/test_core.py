@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,3 +399,24 @@ class TestPgm:
         with pytest.raises(ValueError, match="grid values must be finite"):
             write_pgm(np.array([[np.inf, 2.0]]), tmp_path / "img.pgm")
         assert not (tmp_path / "img.pgm").exists()
+
+
+def _rss_bytes() -> int:
+    return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/statm").exists(),
+                    reason="checks glibc's mmap threshold through /proc")
+def test_freed_image_sized_array_leaves_resident_memory():
+    # 24 MB of float64, the size of a 30x30 simulator image. Without a fixed
+    # mmap threshold, glibc serves it from the heap once an equal block has
+    # been freed, and the freed heap block stays resident.
+    n = 3_000_000
+    for _ in range(2):
+        a = np.ones(n)
+        del a
+    before = _rss_bytes()
+    a = np.ones(n)
+    assert _rss_bytes() - before > n * 8 * 3 // 4
+    del a
+    assert _rss_bytes() - before < n * 8 // 4
