@@ -292,9 +292,8 @@ def _build_tree(XT: np.ndarray, y: np.ndarray, start: np.ndarray,
         found = _best_split(XT, y, idx, cand)
         if found is None:
             # The drawn features are constant on this node; an impure node
-            # still splits if any other feature can separate it.
-            rest = np.setdiff1d(np.arange(q), cand)
-            found = _best_split(XT, y, idx, rest) if rest.size else None
+            # still splits if any feature can (the constant ones score inf).
+            found = _best_split(XT, y, idx, np.arange(q))
         if found is None:
             node.counts = (c0, c1)
             continue
@@ -315,9 +314,9 @@ def fit_forest(Z, y, *, n_trees: int = 1000, seed: int = 1234,
     whole training set when ``bootstrap`` is false) and, at every split,
     ceil(sqrt(q)) candidate features drawn without replacement from its own
     seeded stream. A node splits at its lowest weighted-Gini cut until it is
-    pure; when every candidate is constant on the node, the other features
-    are searched instead, so a leaf is impure only when no feature separates
-    its rows. A cut between consecutive values a < b sits at their midpoint,
+    pure; when every candidate is constant on the node, every feature is
+    searched instead, so a leaf is impure only when no feature separates its
+    rows. A cut between consecutive values a < b sits at their midpoint,
     or at a when the midpoint rounds up to b or overflows, so neither child
     is empty. ``Z`` must be finite.
     """

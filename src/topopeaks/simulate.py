@@ -40,8 +40,8 @@ class SimulationSpec:
             raise ValueError("size must be at least 8 so the regions stay disjoint")
         if self.n_peaks < 2:
             raise ValueError("need at least 2 peaks, one per region")
-        if self.baseline < 0:
-            raise ValueError("baseline must be non-negative")
+        if not (math.isfinite(self.baseline) and self.baseline >= 0):
+            raise ValueError("baseline must be finite and non-negative")
         slots = self.n_mz - 2 * _EDGE - (self.n_peaks - 1) * _GAP
         if slots < self.n_peaks:
             raise ValueError(
@@ -175,7 +175,6 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
     for s in range(0, n_px, _NOISE_ROWS):
         e = min(s + _NOISE_ROWS, n_px)
         rows = truth(s, e)
-        _check_finite_nonnegative(rows, "intensities")
         noisy = rows if model.kind == "none" else _noisy(rng, rows, model, buf[:e - s])
         _check_finite_nonnegative(noisy, "intensities")
         for grid, block in zip(means[:, s:e], (rows, noisy, *_topk_vectors(noisy, ks))):
@@ -183,21 +182,19 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
     return tuple(grid.reshape(spec.size, spec.size) for grid in means)
 
 
-def denoise(image: MSImage, k, workers: int = 1) -> MSImage | tuple[MSImage, ...]:
-    """Replace each pixel spectrum by its top-k% persistence vector.
+def denoise(image: MSImage, k, workers: int = 1) -> MSImage:
+    """Replace each pixel spectrum by its top-k% persistence vector, for one k.
 
     The output spectrum is zero except at retained peak positions, which carry
-    their persistence values. ``k`` is one percentage, giving one image, or a
-    tuple of them, giving a tuple of images in the same order: the pixels are
-    paired once and only the selection of the kept peaks runs per k, so each
-    image equals a call with its k alone. The result is deterministic.
-    ``workers`` is accepted and ignored: all pixels go through one batched
-    kernel in this process, and the parameter remains only because the
-    benchmark's output check (bench/workloads.py) still passes ``workers=1``.
+    their persistence values; the result is deterministic. Several k over one
+    simulated image go through :func:`simulate_means`, which pairs each block
+    of pixels once for all of them. ``workers`` is accepted and ignored: all pixels go through one
+    batched kernel in this process, and the parameter remains only because
+    the benchmark's output check (bench/workloads.py) still passes
+    ``workers=1``.
     """
-    images = tuple(MSImage(image.width, image.height, _Made(image.mz), _Made(rows))
-                   for rows in _topk_vectors(image.spectra, k if isinstance(k, tuple) else (k,)))
-    return images if isinstance(k, tuple) else images[0]
+    rows, = _topk_vectors(image.spectra, (k,))
+    return MSImage(image.width, image.height, _Made(image.mz), _Made(rows))
 
 
 def mean_image(image: MSImage) -> np.ndarray:

@@ -73,7 +73,7 @@ def _random_spectrum(rng):
 
 
 def test_transform_matches_sweep_oracle_on_1000_spectra():
-    with criterion("recursive transform equals sweep oracle on 1000 spectra in <10s"):
+    with criterion("kernel transform equals sweep oracle on 1000 spectra in <10s"):
         rng = np.random.default_rng(12345)
         start = time.perf_counter()
         for _ in range(1000):

@@ -753,7 +753,7 @@ class TestSplitSearch:
                     for _ in range(6)]
         # all but one of 10 columns constant: most nodes draw only constant
         # features among their ceil(sqrt(10)) = 4, and the search falls back
-        # to the other 6
+        # to all 10
         Z = np.ones((30, 10))
         Z[:, 4] = np.round(rng.normal(size=30))
         problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(int)))
@@ -771,8 +771,8 @@ class TestSplitSearch:
                 mp.setattr(classify_module, "_best_split", spy)
                 slow = fit_forest(Z, y, n_trees=8, bootstrap=bootstrap, seed=9)
             assert fast == slow
-            assert set(sizes) <= {math.ceil(math.sqrt(q)), q - math.ceil(math.sqrt(q))}
-        assert 6 in sizes  # the last problem searched the rest
+            assert set(sizes) <= {math.ceil(math.sqrt(q)), q}
+        assert 10 in sizes  # the last problem searched every feature
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_forest_matches_routed_forest(self, bootstrap):
@@ -782,7 +782,8 @@ class TestSplitSearch:
         rng = np.random.default_rng(60)
         problems = [tied_problem(rng, int(rng.integers(10, 60)), int(rng.integers(2, 20)))
                     for _ in range(6)]
-        # all but one column constant: exercises the fallback to the rest
+        # all but one column constant: the fallback searches every feature,
+        # the reference only the features not drawn
         Z = np.ones((30, 10))
         Z[:, 4] = np.round(rng.normal(size=30))
         problems.append((Z, (Z[:, 4] + rng.normal(size=30) > 0).astype(np.int64)))

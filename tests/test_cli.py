@@ -315,7 +315,7 @@ class TestSimulateCommand:
         rc = main([command, "--out-dir", str(tmp_path / "sim"), "--size", "8",
                    "--n-mz", "400", "--n-peaks", "4", "--baseline", "inf"])
         assert rc == 1
-        assert "intensities must be finite" in capsys.readouterr().err
+        assert "baseline must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     def test_too_small_size_exits_1(self, tmp_path):
