@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-
 import numpy as np
 
 from .core import LabeledDataset, _mz_axis, _write_csv
 from .persistence import _topk_vectors
 
-# Nothing here starts a process. ProcessPoolExecutor stays importable from this
-# module only because bench/spans.py patches it when tracing; drop it together
-# with that patch.
+
+def __getattr__(name):
+    # Nothing here starts a process. ProcessPoolExecutor stays importable from
+    # this module only because bench/spans.py patches it when tracing; it is
+    # imported on that request, so the package does not load multiprocessing.
+    # Drop it together with that patch.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_matrix(dataset: LabeledDataset, k) -> np.ndarray:

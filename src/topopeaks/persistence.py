@@ -12,11 +12,12 @@ Three independent routes compute the same pairing. One serves production:
 
 * :func:`_pair_block` finds each peak's nearest elder and saddle by pointer
   jumping over the sequence of peaks, carrying the valley minima between
-  neighbouring peaks, for a block of rows at once. :func:`transform` reads
-  its triples from a block of one row, so the ``transform`` command and
-  every persistence diagram run it; :func:`_topk_vectors` reads the top-k%
-  persistence vectors that ``build_matrix`` and ``denoise`` use from it,
-  for several k from one pairing.
+  neighbouring peaks, for a block of rows at once, and returns the peaks in
+  position order. :func:`transform` sorts its triples from a block of one
+  row, so the ``transform`` command and every persistence diagram run it;
+  :func:`_topk_vectors` selects the top-k% persistence vectors that
+  ``build_matrix`` and ``denoise`` use from it, for several k from one
+  pairing, by each row's cut value rather than by a sort.
 
 Two are references that no command runs:
 
@@ -319,8 +320,8 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarr
 def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row, position, persistence and death of every positive-persistence peak of a block.
 
-    The peaks come grouped by row, most persistent first within a row, ties
-    in position order: the order in which :func:`_topk_vectors` keeps them.
+    The peaks come in the order ``np.nonzero`` finds them: grouped by row,
+    in position order within a row.
     """
     b, q = rows.shape
     # Peaks: local maxima of the total order (-value, position), i.e. above
@@ -368,9 +369,7 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
                               np.where(has_right, right_min, rows.min(axis=1)[row])))
     pers = birth - death
     alive = pers > 0.0
-    row, pos, pers, death = row[alive], pos[alive], pers[alive], death[alive]
-    order = np.lexsort((-pers, row))  # stable: ties stay in position order
-    return row[order], pos[order], pers[order], death[order]
+    return row[alive], pos[alive], pers[alive], death[alive]
 
 
 def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
@@ -392,19 +391,43 @@ def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
     peaks still searching finish by binary lifting (:func:`_lift`), so the
     work per block is bounded and the range tables are built only then.
     Each block of rows is paired once; only the selection runs once per k.
+
+    The selection needs no ranking of the peaks, only each row's cut value:
+    the persistence t of rank keep = ceil(k% of m) from the top, read from
+    the row's persistences sorted in one small zero-padded table. A row
+    keeps every peak with persistence > t and, of those equal to t, the
+    leftmost keep - #(> t); a row without a peak keeps nothing.
     """
     rows = np.asarray(rows, dtype=np.float64)
     ks = tuple(map(_check_k, ks))
+    q = rows.shape[1]
     outs = tuple(np.zeros(rows.shape) for _ in ks)
+    flats = tuple(out.reshape(-1) for out in outs)
     for s in range(0, rows.shape[0], _BLOCK):
         block = rows[s:s + _BLOCK]
+        b = block.shape[0]
         row, pos, pers, _ = _pair_block(block)
-        counts = np.bincount(row, minlength=block.shape[0])
-        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rank = np.arange(row.size) - first[row]  # place within the row's order
-        for k, out in zip(ks, outs):
-            kept = rank < np.ceil(k * counts / 100.0)[row]
-            out[s + row[kept], pos[kept]] = pers[kept]
+        counts = np.bincount(row, minlength=b)
+        first = np.cumsum(counts) - counts  # index of each row's first peak
+        # Every persistence is > 0, so the pads sort first, and each row has
+        # at least one: column -0 is a pad, the cut of a row that keeps none.
+        table = np.zeros((b, counts.max(initial=0) + 1))
+        table[row, np.arange(row.size) - np.repeat(first, counts)] = pers
+        table.sort(axis=1)
+        at = (s + row) * q + pos
+        for k, flat in zip(ks, flats):
+            keep = np.ceil(k * counts / 100.0).astype(np.intp)
+            cut = np.repeat(table[np.arange(b), -keep], counts)
+            cand = np.flatnonzero(pers >= cut)  # still by row, then by position
+            crow = row[cand]
+            tied = pers[cand] == cut[cand]
+            per_row = np.bincount(crow, minlength=b)
+            # each tie's rank among its row's ties, from 1 in position order
+            tie_rank = np.cumsum(tied)
+            tie_rank -= np.append(0, tie_rank)[np.cumsum(per_row) - per_row][crow]
+            room = keep - per_row + np.bincount(crow[tied], minlength=b)  # keep - #(> t)
+            cand = cand[~tied | (tie_rank <= room[crow])]
+            flat[at[cand]] = pers[cand]
     return outs
 
 

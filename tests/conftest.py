@@ -93,8 +93,8 @@ def to_persistence_vector(pairs, q: int) -> np.ndarray:
 def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row, position, persistence and death of every positive-persistence peak of a block.
 
-    The peaks come grouped by row, most persistent first within a row, ties
-    in position order: the order in which :func:`_topk_vectors` keeps them.
+    The peaks come grouped by row, in position order within a row, as
+    ``np.nonzero`` finds them.
     """
     b, q = rows.shape
     # Each row padded with +inf at both ends: a window that reaches past the
@@ -151,9 +151,7 @@ def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
                               np.where(has_right, right_min, rows.min(axis=1)[row])))
     pers = birth - death
     alive = pers > 0.0
-    row, pos, pers, death = row[alive], pos[alive], pers[alive], death[alive]
-    order = np.lexsort((-pers, row))  # stable: ties stay in position order
-    return row[order], pos[order], pers[order], death[order]
+    return row[alive], pos[alive], pers[alive], death[alive]
 
 
 def read_pgm(path) -> np.ndarray:

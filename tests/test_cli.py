@@ -115,7 +115,7 @@ class TestArgumentHandling:
 class TestRuntimeDependencies:
     def test_numpy_is_the_only_dependency(self):
         # a fresh interpreter loads nothing outside the standard library but
-        # numpy and the package itself
+        # numpy and the package itself, and no process machinery at all
         script = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
@@ -127,13 +127,10 @@ class TestRuntimeDependencies:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True, timeout=60)
         loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
-        # dunder aliases such as __mp_main__ name no distribution
-        foreign = {name for name in loaded
-                   if not (name.startswith("__") and name.endswith("__"))
-                   and name not in sys.stdlib_module_names
-                   and name not in ("numpy", "topopeaks")}
+        foreign = loaded - sys.stdlib_module_names - {"numpy", "topopeaks"}
         assert "topopeaks" in loaded and "numpy" in loaded
         assert not foreign, sorted(foreign)
+        assert not loaded & {"multiprocessing", "concurrent"}, sorted(loaded)
 
 
 class TestTransformCommand:

@@ -410,10 +410,44 @@ class TestFilterTopK:
         for k, expect in self._reference(noisy.spectra, (10.0, 25.0)).items():
             assert np.array_equal(denoise(noisy, k).spectra, expect)
 
+    @staticmethod
+    def _cut_in_a_tie(rows, k):
+        """Whether some row's rank ceil(k% of m) falls inside a run of equal
+        persistences, so that only part of the run is kept."""
+        for row in rows:
+            pers = sorted((p.persistence for p in reduce(oracle_transform(mk(row)))),
+                          reverse=True)
+            keep = math.ceil(k * len(pers) / 100.0)
+            if 0 < keep < len(pers) and pers[keep - 1] == pers[keep]:
+                return True
+        return False
+
+    def test_ties_at_the_cut(self):
+        # the kernel keeps the peaks above each row's cut value and the
+        # leftmost of those equal to it; the oracle ranks them all by sort
+        ks = (0.001, 33.3, 50.0, 100.0)
+        x = np.arange(61)
+        odd = x % 2.0  # 30 peaks, all of persistence 1
+        raised = odd.copy()
+        raised[[7, 31, 49]] = 3.0  # three peaks above the cut, then the ties
+        rows = np.stack([odd, (x % 4 == 1) * 1.0, raised, np.full(x.size, 2.5),
+                         odd * (1 + x // 20), odd[::-1]])  # peak counts differ per row
+        assert _BLOCK >= len(rows)
+        for k in (33.3, 50.0):
+            assert self._cut_in_a_tie(rows, k)
+        # Poisson counts on the full simulator axis tie often
+        image, _ = generate_ground_truth(SimulationSpec(size=8, n_peaks=6, seed=13))
+        noisy = add_noise(image, NoiseModel("poisson", 1.0, seed=13)).spectra[:_BLOCK + 2]
+        assert noisy.shape[1] == 3466 and self._cut_in_a_tie(noisy, 33.3)
+        for block in (rows, noisy):
+            expect = self._reference(block, ks)
+            for k, matrix in zip(ks, _topk_vectors(block, ks)):
+                assert np.array_equal(matrix, expect[k]), k
+
 
 class TestPairBlock:
     """The pointer-jumping kernel against binary lifting over range tables,
-    array for array: rows, positions, persistences and deaths in keep order."""
+    array for array: rows, positions, persistences and deaths in position order."""
 
     @staticmethod
     def _assert_matches(rows):
