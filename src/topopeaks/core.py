@@ -6,42 +6,12 @@ CSV is the canonical text format; image grids are written as binary PGM (P5).
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-_MMAP_BYTES = 4 << 20  # blocks this large and larger come from mmap
-
-
-def _fix_mmap_threshold() -> None:
-    """Serve every block of 4 MiB or more from mmap, so freeing it returns it to the OS.
-
-    glibc otherwise raises its mmap threshold to the size of the first large
-    block freed. Later image-sized arrays then come from the heap, and
-    whether a freed one is reused or stays resident depends on where small
-    blocks happened to land: five 30x30 simulator images made in a row
-    peaked at 120 or 144 MB RSS depending only on the length of the working
-    directory's path. A fixed threshold keeps that peak at live data.
-
-    Fixing it also stops the matching rise of the trim threshold, which
-    would then give the heap top back after every freed block and fault it
-    in again on the next (73 8x8 images made 590,000 page faults instead of
-    15,000), so the trim threshold is set to twice the mmap threshold, as
-    glibc's own rule would. Where libc is not glibc, nothing changes.
-    """
-    with contextlib.suppress(OSError, AttributeError):
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
-        libc.mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_BYTES)
-
-
-_fix_mmap_threshold()
 
 
 class _Made:

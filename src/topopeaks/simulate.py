@@ -163,8 +163,9 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
     The grids equal :func:`mean_image` of :func:`generate_ground_truth`,
     :func:`add_noise` and :func:`denoise` at each k of ``ks``, bit for bit,
     but the pixels stream through in blocks of ``_NOISE_ROWS``: a block is
-    made, noised, paired once for every k and reduced to its row means, so
-    memory does not grow with the image.
+    made, noised, paired once for all of ``ks`` (not at all when it is
+    empty) and reduced to its row means, so memory does not grow with the
+    image.
     """
     ks = tuple(map(_check_k, ks))
     _, _, truth = _simulation(spec)
@@ -177,7 +178,8 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
         rows = truth(s, e)
         noisy = rows if model.kind == "none" else _noisy(rng, rows, model, buf[:e - s])
         _check_finite_nonnegative(noisy, "intensities")
-        for grid, block in zip(means[:, s:e], (rows, noisy, *_topk_vectors(noisy, ks))):
+        cleaned = _topk_vectors(noisy, ks) if ks else ()
+        for grid, block in zip(means[:, s:e], (rows, noisy, *cleaned)):
             grid[:] = block.mean(axis=1)
     return tuple(grid.reshape(spec.size, spec.size) for grid in means)
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from topopeaks import (
     write_pgm,
     write_spectrum_csv,
 )
+from topopeaks import cli
 from topopeaks.core import _write_csv
 
 
@@ -401,22 +405,98 @@ class TestPgm:
         assert not (tmp_path / "img.pgm").exists()
 
 
-def _rss_bytes() -> int:
+_GLIBC_PROC = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not Path("/proc/self/statm").exists(),
+    reason="checks glibc's mmap threshold through /proc")
+
+
+def _run_fresh(script: str, *args: str):
+    """Run ``script`` in a fresh interpreter on this package; return its JSON output.
+
+    The allocator's state belongs to the whole process, so a check of it must
+    not see what earlier tests allocated or set.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return json.loads(done.stdout)
+
+
+_SIMULATE = """
+import sys
+import topopeaks.cli
+
+
+def simulate():
+    rc = topopeaks.cli.main(["simulate", "--out-dir", sys.argv[1], "--size", "8",
+                             "--n-mz", "400", "--n-peaks", "6"])
+    assert rc == 0
+"""
+
+_RESIDENT = _SIMULATE + """
+import json, os
+from pathlib import Path
+import numpy as np
+
+
+def rss_bytes():
     return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/statm").exists(),
-                    reason="checks glibc's mmap threshold through /proc")
-def test_freed_image_sized_array_leaves_resident_memory():
+simulate()
+n = int(sys.argv[2])
+for _ in range(2):
+    a = np.ones(n)
+    del a
+before = rss_bytes()
+a = np.ones(n)
+grown = rss_bytes() - before
+del a
+json.dump([grown, rss_bytes() - before], sys.stdout)
+"""
+
+
+@_GLIBC_PROC
+def test_freed_image_sized_array_leaves_resident_memory(tmp_path):
     # 24 MB of float64, the size of a 30x30 simulator image. Without a fixed
     # mmap threshold, glibc serves it from the heap once an equal block has
-    # been freed, and the freed heap block stays resident.
+    # been freed, and the freed heap block stays resident. The command sets
+    # the threshold when it starts, so the check runs after one command.
     n = 3_000_000
-    for _ in range(2):
-        a = np.ones(n)
+    grown, left = _run_fresh(_RESIDENT, str(tmp_path), str(n))
+    assert grown > n * 8 * 3 // 4
+    assert left < n * 8 // 4
+
+
+_FAULTING_ROUNDS = _SIMULATE + """
+import json, resource
+import numpy as np
+
+
+def faulting_rounds():
+    # 8 MiB of float64, so its heap block is just over the 8 MiB trim
+    # threshold the command sets: with that setting, every free gives the
+    # heap top back and the next round faults it in again
+    n = 0
+    for _ in range(50):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        a = np.ones(1 << 20)
         del a
-    before = _rss_bytes()
-    a = np.ones(n)
-    assert _rss_bytes() - before > n * 8 * 3 // 4
-    del a
-    assert _rss_bytes() - before < n * 8 // 4
+        n += resource.getrusage(resource.RUSAGE_SELF).ru_minflt > before
+    return n
+
+
+after_import = faulting_rounds()
+simulate()
+json.dump([after_import, faulting_rounds()], sys.stdout)
+"""
+
+
+@_GLIBC_PROC
+def test_import_leaves_the_allocator_alone(tmp_path):
+    # After the import, glibc's own thresholds rise to the first freed 8 MiB
+    # block, so only the first rounds fault; once the command has set its
+    # thresholds, every round does.
+    after_import, after_main = _run_fresh(_FAULTING_ROUNDS, str(tmp_path))
+    assert after_import <= 5, after_import
+    assert after_main >= 45, after_main

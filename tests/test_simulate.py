@@ -25,6 +25,7 @@ from topopeaks import (
     simulate_means,
     transform,
 )
+from topopeaks import persistence
 from topopeaks.cli import main
 from topopeaks.simulate import MZ_RANGE, _region_masks
 
@@ -220,6 +221,20 @@ class TestSimulateMeans:
         assert len(out) == 2 + len(ks)
         for k, grid in zip(ks, out[2:]):
             assert grid.tobytes() == simulate_means(SMALL, model, (k,))[2].tobytes(), k
+
+    def test_no_k_pairs_no_pixel(self, monkeypatch):
+        model = NoiseModel("gaussian", 0.2)
+        image, _ = generate_ground_truth(SMALL)
+        expect = [mean_image(image), mean_image(add_noise(image, model))]
+        calls = []
+        pair_block = persistence._pair_block
+        monkeypatch.setattr(persistence, "_pair_block",
+                            lambda block: calls.append(len(block)) or pair_block(block))
+        got = simulate_means(SMALL, model)
+        assert calls == []
+        assert [grid.tobytes() for grid in got] == [grid.tobytes() for grid in expect]
+        simulate_means(SMALL, model, (25.0,))
+        assert sum(calls) == SMALL.size ** 2  # the spy sees the pairing when a k asks for it
 
 
 class TestDenoise:
