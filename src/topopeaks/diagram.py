@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class PersistenceDiagram:
         for p in self.points:
             b, d = p  # a ValueError unless the point holds exactly two values
             b, d = float(b), float(d)
-            if not (np.isfinite(b) and np.isfinite(d)):
+            if not (math.isfinite(b) and math.isfinite(d)):
                 raise ValueError("diagram points must be finite")
             if b < d:
                 raise ValueError(f"birth {b} below death {d}")
@@ -51,16 +52,25 @@ def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
 def _covers(adj: np.ndarray) -> bool:
     """True when some matching of the bipartite graph ``adj`` saturates every row.
 
-    ``adj[r, c]`` says whether row r may take column c. Hopcroft-Karp: each
+    ``adj[r, c]`` says whether row r may take column c. A greedy pass first
+    gives each row, in order, its first free column; only the rows it leaves
+    unmatched start as free. Hopcroft-Karp then grows that matching: each
     phase lays out breadth-first layers from the free rows and then augments
     along vertex-disjoint shortest paths, walked with an explicit stack so
     that no path length can reach the interpreter's recursion limit.
     """
-    rows = [np.flatnonzero(r).tolist() for r in adj]
-    n = len(rows)
+    n = adj.shape[0]
+    cols = adj.nonzero()[1].tolist()
+    ends = adj.sum(axis=1).cumsum().tolist()
+    rows = [cols[s:e] for s, e in zip([0] + ends, ends)]
     match_row, match_col = [-1] * n, [-1] * adj.shape[1]
+    for u, nbrs in enumerate(rows):
+        for v in nbrs:
+            if match_col[v] == -1:
+                match_row[u], match_col[v] = v, u
+                break
     unreached = n + 1
-    free = list(range(n))
+    free = [u for u in range(n) if match_row[u] == -1]
     while free:
         dist = [unreached] * n
         for u in free:
@@ -124,10 +134,11 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     the diagonal or a point of the other diagram, so the distance is at least
     the largest over points of min(half-gap, cheapest cross cost); sending
     every point to the diagonal is always feasible, so it is at most the
-    largest half-gap. The smallest feasible candidate between these bounds is
-    found by bisection over the sorted candidates, each step deciding
-    feasibility with :func:`_feasible`, so no floating tolerance enters the
-    result.
+    largest half-gap. The lower bound is tested first and returned when it is
+    feasible, which on noisy spectra it mostly is; otherwise the smallest
+    feasible candidate above it is found by bisection over the sorted
+    candidates up to the upper bound. Each step decides feasibility with
+    :func:`_feasible`, so no floating tolerance enters the result.
     """
     p1 = np.array(d1.points, dtype=np.float64).reshape(-1, 2)
     p2 = np.array(d2.points, dtype=np.float64).reshape(-1, 2)
@@ -145,12 +156,14 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         np.min(cost, axis=0, initial=np.inf),
     ))
     lower = np.max(np.minimum(gaps, cheapest))
+    if _feasible(lower, cost, gap1, gap2):
+        return float(lower)
     upper = np.max(gaps)
     within = cost[(cost >= lower) & (cost <= upper)]
     cands = np.unique(np.concatenate((gaps[gaps >= lower], within)))
-    # cands[hi] is feasible (it is the upper bound); index lo = -1 stands for
-    # the infeasible values below the lower bound.
-    lo, hi = -1, cands.size - 1
+    # cands[0] is the lower bound, just found infeasible; cands[hi] is the
+    # upper bound, which is feasible.
+    lo, hi = 0, cands.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _feasible(cands[mid], cost, gap1, gap2):

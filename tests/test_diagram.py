@@ -3,6 +3,7 @@ against a diagonal-copy perfect-matching reference."""
 
 from __future__ import annotations
 
+import math
 import time
 from itertools import combinations, permutations
 
@@ -22,6 +23,7 @@ from topopeaks import (
     transform,
     write_diagram_csv,
 )
+from topopeaks import diagram
 
 
 def brute_bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -122,6 +124,36 @@ def reference_bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> floa
     return ordered[hi]
 
 
+def brute_covers(adj: np.ndarray) -> bool:
+    """Try every injective assignment of the rows to columns."""
+    n, m = adj.shape
+    return any(all(adj[r, c] for r, c in enumerate(cols))
+               for cols in permutations(range(m), n))
+
+
+def real_size_pair() -> tuple[PersistenceDiagram, PersistenceDiagram]:
+    """Full-axis pixels 18 (circle) and 54 (square) of a noisy 8x8 simulator
+    image: about a thousand maxima each, as in real MSI data."""
+    image, _ = generate_ground_truth(SimulationSpec(size=8, seed=1234))
+    image = add_noise(image, NoiseModel("gaussian", 0.1, 1234))
+    d1, d2 = (to_diagram(transform(Spectrum(image.mz, image.spectra[p])))
+              for p in (18, 54))
+    return d1, d2
+
+
+def count_feasible_calls(monkeypatch, d1, d2) -> tuple[float, int]:
+    """bottleneck_distance(d1, d2) and how many feasibility tests it made."""
+    calls = []
+    real = diagram._feasible
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(diagram, "_feasible", spy)
+    return bottleneck_distance(d1, d2), len(calls)
+
+
 def random_diagram(rng, max_points=4, grid=None) -> PersistenceDiagram:
     n = int(rng.integers(0, max_points + 1))
     pts = []
@@ -159,6 +191,60 @@ class TestPersistenceDiagram:
         path = tmp_path / "d.csv"
         write_diagram_csv(PersistenceDiagram(((3.0, 0.0), (2.0, 1.0))), path)
         assert path.read_text() == "3.0,0.0\n2.0,1.0\n"
+
+
+class TestCovers:
+    """The row-saturating matcher against exhaustive assignment."""
+
+    def test_random_matrices_up_to_seven_by_seven(self):
+        rng = np.random.default_rng(107)
+        for _ in range(400):
+            n, m = rng.integers(0, 8, size=2)
+            adj = rng.random((n, m)) < rng.uniform(0.1, 0.9)
+            assert diagram._covers(adj) == brute_covers(adj), adj.astype(int)
+
+    def test_greedy_start_undone_by_an_augmenting_path(self):
+        # the greedy pass gives column 0 to row 0, which leaves row 1 with
+        # nothing until row 0 moves over to column 1
+        assert diagram._covers(np.array([[1, 1], [1, 0]], dtype=bool))
+        assert diagram._covers(np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=bool))
+
+    def test_no_rows(self):
+        assert diagram._covers(np.zeros((0, 3), dtype=bool))
+        assert diagram._covers(np.zeros((0, 0), dtype=bool))
+
+    def test_empty_row(self):
+        assert not diagram._covers(np.array([[1, 1], [0, 0]], dtype=bool))
+        assert not diagram._covers(np.zeros((1, 0), dtype=bool))
+
+
+class TestFeasibleCalls:
+    """The lower bound is tested first; bisection runs only when it fails."""
+
+    def test_identical_diagrams_one_call(self, monkeypatch):
+        d = PersistenceDiagram(((3.0, 0.0), (2.0, 1.0)))
+        assert count_feasible_calls(monkeypatch, d, d) == (0.0, 1)
+
+    def test_single_point_shift_one_call(self, monkeypatch):
+        d1 = PersistenceDiagram(((3.0, 0.0),))
+        d2 = PersistenceDiagram(((3.0, 1.0),))
+        assert count_feasible_calls(monkeypatch, d1, d2) == (1.0, 1)
+
+    def test_thousand_point_pair_bisects_above_the_lower_bound(self, monkeypatch):
+        d1, d2 = real_size_pair()
+        dist, calls = count_feasible_calls(monkeypatch, d1, d2)
+        cost, gap1, gap2 = reference_costs(d1, d2)
+        gaps = np.concatenate((gap1, gap2))
+        cheapest = np.concatenate((cost.min(axis=1), cost.min(axis=0)))
+        lower, upper = np.max(np.minimum(gaps, cheapest)), np.max(gaps)
+        cands = reference_candidates(cost, gap1, gap2)
+        between = [c for c in cands if lower <= c <= upper]
+        assert calls <= math.ceil(math.log2(len(between))) + 1
+        assert dist > lower
+        # the reference's answer: feasible here, infeasible one candidate below
+        i = cands.index(dist)
+        assert reference_feasible(dist, cost, gap1, gap2)
+        assert not reference_feasible(cands[i - 1], cost, gap1, gap2)
 
 
 class TestBottleneckExamples:
@@ -232,12 +318,7 @@ class TestBottleneckAgainstReference:
 
 class TestBottleneckAtRealSize:
     def test_thousand_point_diagrams(self):
-        # Full-axis pixels 18 (circle) and 54 (square) of a noisy 8x8
-        # simulator image: about a thousand maxima each, as in real MSI data.
-        image, _ = generate_ground_truth(SimulationSpec(size=8, seed=1234))
-        image = add_noise(image, NoiseModel("gaussian", 0.1, 1234))
-        d1, d2 = (to_diagram(transform(Spectrum(image.mz, image.spectra[p])))
-                  for p in (18, 54))
+        d1, d2 = real_size_pair()
         assert (len(d1), len(d2)) == (943, 929)
         start = time.perf_counter()
         dist = bottleneck_distance(d1, d2)
