@@ -40,12 +40,12 @@ def _fix_mmap_threshold() -> None:
     glibc's own rule would. Where libc is not glibc, nothing changes.
 
     The setting holds for the whole process, so only the command's entry
-    point makes it; importing the package leaves the allocator alone. The
-    commands stream 64-row blocks and do not need it: it stays for the
-    benchmark, whose denoise-image set-up holds full 30x30 images and enters
-    the package through :func:`main`. Once ``bench/run.py`` sets the
-    thresholds in its own process (ROADMAP item 1), this function can be
-    deleted.
+    point makes it; importing the package leaves the allocator alone.
+    ``simulate`` and ``denoise`` stream 8-row blocks and do not need it, but
+    ``bench`` denoises whole images (about 100 MB each at size 60), and the
+    benchmark's denoise-image set-up holds full 30x30 images and enters
+    through :func:`main`. Once ``bench/run.py`` sets the thresholds in its
+    own process (an open ROADMAP item), this function can be deleted.
     """
     with contextlib.suppress(OSError, AttributeError):
         libc = ctypes.CDLL("libc.so.6")
@@ -150,27 +150,28 @@ def _cmd_transform(args) -> int:
     spectrum = load_spectrum_csv(args.infile)
     triples = persistence.transform(spectrum)
     _log(f"transformed {len(spectrum)} points into {len(triples)} features")
-    pairs = persistence.filter_top_k(persistence.reduce(triples), args.k)
+    vector = persistence._topk_vectors(spectrum.intensity[None, :], (args.k,))[0][0]
     if args.diagram:
         write_diagram_csv(persistence.to_diagram(triples), args.diagram)
         _log(f"wrote {args.diagram}")
+    kept = vector.nonzero()[0]  # the top-k% peaks, which carry their persistence
     if args.reduced:
+        pairs = map(persistence.PersistencePair, kept.tolist(), vector[kept].tolist())
         persistence.write_pairs_csv(pairs, spectrum.mz, args.out)
     else:
-        keep = {p.position for p in pairs}
-        kept = [t for t in triples if t.position in keep]  # transform's order
-        persistence.write_triples_csv(kept, spectrum.mz, args.out)
-    _log(f"wrote {args.out} ({len(pairs)} features at k={args.k})")
+        triples = [t for t in triples if vector[t.position]]  # transform's order
+        persistence.write_triples_csv(triples, spectrum.mz, args.out)
+    _log(f"wrote {args.out} ({kept.size} features at k={args.k})")
     return 0
 
 
 def _cmd_classify(args) -> int:
     dataset = load_dataset_csv(args.spectra, args.labels)
     _log(f"loaded {dataset.n} spectra with {dataset.q} mz values")
-    report = group_cv(dataset, args.scheme, args.classifier, args.k,
-                      n_trees=args.n_trees, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = group_cv(dataset, args.scheme, args.classifier, args.k,
+                      n_trees=args.n_trees, seed=args.seed)
     folds_path, summary_path = out_dir / "folds.csv", out_dir / "summary.csv"
     _write_csv(folds_path, zip(report.fold_names, report.fold_scores),
                header=("fold", "balanced_accuracy"))
@@ -189,10 +190,11 @@ def _simulate_and_write(args, ks=()) -> tuple[Path, list]:
     """
     spec = SimulationSpec(size=args.size, n_mz=args.n_mz, n_peaks=args.n_peaks,
                           baseline=args.baseline, seed=args.seed)
-    truth, noisy, *cleaned = simulate_means(spec, _noise_model(args), ks)
-    _log(f"generated {args.size}x{args.size} image with {args.n_mz} mz values")
+    model = _noise_model(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    truth, noisy, *cleaned = simulate_means(spec, model, ks)
+    _log(f"generated {args.size}x{args.size} image with {args.n_mz} mz values")
     write_pgm(truth, out_dir / "ground_truth.pgm")
     write_pgm(noisy, out_dir / "noisy.pgm")
     return out_dir, cleaned

@@ -14,10 +14,10 @@ Three independent routes compute the same pairing. One serves production:
   jumping over the sequence of peaks, carrying the valley minima between
   neighbouring peaks, for a block of rows at once, and returns the peaks in
   position order. :func:`transform` sorts its triples from a block of one
-  row, so the ``transform`` command and every persistence diagram run it;
-  :func:`_topk_vectors` selects the top-k% persistence vectors that
-  ``build_matrix`` and ``denoise`` use from it, for several k from one
-  pairing, by each row's cut value rather than by a sort.
+  row, so every persistence diagram runs it; :func:`_topk_vectors` selects
+  the top-k% persistence vectors that ``build_matrix``, ``denoise`` and
+  ``transform --k`` keep from it, for several k from one pairing, by each
+  row's cut value rather than by a sort.
 
 Two are references that no command runs:
 
@@ -32,7 +32,7 @@ transform against both references triple for triple
 (``TestKernelTransform``, ``TestOracleAgreement``), and
 ``TestFilterTopK.test_fast_path_matches_composition`` and
 ``test_denoise_matches_composition`` check the batched vectors against the
-oracle composed with :func:`reduce` and :func:`filter_top_k`.
+oracle composed with the references :func:`reduce` and :func:`filter_top_k`.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
     return chosen
 
 
-_BLOCK = 8  # rows per kernel pass; larger blocks were no faster
+_BLOCK = 8  # rows per kernel pass, and per simulate_means block; larger were no faster
 
 
 def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, thr: np.ndarray,

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MSImage, _Made, _check_finite_nonnegative
-from .persistence import _check_k, _topk_vectors
+from .persistence import _BLOCK, _check_k, _topk_vectors
 
 MZ_RANGE = (500.0, 2000.0)  # the m/z axis spans this range
 PEAK_SIGMA = 2.0  # Gaussian peak width, in axis steps
 _EDGE = 15  # keep peaks this many axis steps away from the axis ends
 _GAP = 10  # minimum distance between peak positions, in axis steps
-_NOISE_ROWS = 64  # pixels are simulated and noised this many at a time
 _BENCH_REPEATS = 3  # bench_denoise averages this many calls per size
 
 
@@ -152,8 +151,8 @@ def add_noise(image: MSImage, model: NoiseModel) -> MSImage:
     rng = np.random.default_rng(model.seed)
     spectra = image.spectra
     noisy = np.empty(spectra.shape)
-    for s in range(0, spectra.shape[0], _NOISE_ROWS):
-        _noisy(rng, spectra[s:s + _NOISE_ROWS], model, noisy[s:s + _NOISE_ROWS])
+    for s in range(0, spectra.shape[0], _BLOCK):
+        _noisy(rng, spectra[s:s + _BLOCK], model, noisy[s:s + _BLOCK])
     return MSImage(image.width, image.height, _Made(image.mz), _Made(noisy))
 
 
@@ -162,21 +161,20 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
 
     The grids equal :func:`mean_image` of :func:`generate_ground_truth`,
     :func:`add_noise` and :func:`denoise` at each k of ``ks``, bit for bit,
-    but the pixels stream through in blocks of ``_NOISE_ROWS``: a block is
-    made, noised, paired once for all of ``ks`` (not at all when it is
-    empty) and reduced to its row means, so memory does not grow with the
-    image.
+    but the pixels stream through in the pairing kernel's blocks of
+    ``_BLOCK`` rows: a block is made, noised, paired in one kernel pass for
+    all of ``ks`` (not at all when it is empty) and reduced to its row
+    means, so memory does not grow with the image.
     """
     ks = tuple(map(_check_k, ks))
     _, _, truth = _simulation(spec)
     n_px = spec.size * spec.size
     rng = np.random.default_rng(model.seed)
     means = np.empty((2 + len(ks), n_px))
-    buf = np.empty((min(_NOISE_ROWS, n_px), spec.n_mz))
-    for s in range(0, n_px, _NOISE_ROWS):
-        e = min(s + _NOISE_ROWS, n_px)
+    for s in range(0, n_px, _BLOCK):
+        e = min(s + _BLOCK, n_px)
         rows = truth(s, e)
-        noisy = rows if model.kind == "none" else _noisy(rng, rows, model, buf[:e - s])
+        noisy = rows if model.kind == "none" else _noisy(rng, rows, model, np.empty_like(rows))
         _check_finite_nonnegative(noisy, "intensities")
         cleaned = _topk_vectors(noisy, ks) if ks else ()
         for grid, block in zip(means[:, s:e], (rows, noisy, *cleaned)):

@@ -18,11 +18,20 @@ from topopeaks import (
     LabeledDataset,
     NoiseModel,
     SimulationSpec,
+    Spectrum,
     add_noise,
     denoise,
+    filter_top_k,
     generate_ground_truth,
     mean_image,
+    reduce,
+    to_diagram,
+    transform,
+    write_diagram_csv,
+    write_pairs_csv,
     write_pgm,
+    write_spectrum_csv,
+    write_triples_csv,
 )
 from topopeaks import cli, persistence
 from topopeaks.cli import _build_parser, main
@@ -186,6 +195,51 @@ class TestTransformCommand:
         assert rc == 0
         assert sorted(dia.read_text().splitlines()) == ["2.0,1.0", "3.0,0.0"]
 
+    SPECTRA = {
+        "squared-gaussian": lambda rng, q: rng.normal(size=q) ** 2,
+        "integers": lambda rng, q: rng.integers(0, 3, q).astype(float),
+        "poisson": lambda rng, q: rng.poisson(2.0, q).astype(float),
+        "random-walk": lambda rng, q: np.cumsum(rng.integers(-1, 2, q)).astype(float),
+    }
+
+    @pytest.mark.parametrize("kind", list(SPECTRA))
+    def test_outputs_equal_the_list_composition(self, tmp_path, kind):
+        # the command keeps the kernel's cut-value selection; the public
+        # filter_top_k over reduce is the reference it must equal, byte for byte
+        rng = np.random.default_rng(list(self.SPECTRA).index(kind))
+        files = {name: tmp_path / f"{name}.csv" for name in
+                 ("in", "triples", "reduced", "diagram", "want_triples", "want_reduced",
+                  "want_diagram")}
+        for _ in range(50):
+            q = int(rng.integers(2, 80))
+            values = self.SPECTRA[kind](rng, q)
+            spectrum = Spectrum(np.arange(100.0, 100.0 + q), values - values.min())
+            write_spectrum_csv(spectrum, files["in"])
+            triples = transform(spectrum)
+            write_diagram_csv(to_diagram(triples), files["want_diagram"])
+            for k in ("0.001", "1", "33", "33.4", "50", "99.9", "100"):
+                argv = ["transform", "--in", str(files["in"]), "--k", k]
+                assert main([*argv, "--out", str(files["triples"]),
+                             "--diagram", str(files["diagram"])]) == 0
+                assert main([*argv, "--out", str(files["reduced"]), "--reduced"]) == 0
+                pairs = filter_top_k(reduce(triples), float(k))
+                write_pairs_csv(pairs, spectrum.mz, files["want_reduced"])
+                kept = {p.position for p in pairs}
+                write_triples_csv([t for t in triples if t.position in kept], spectrum.mz,
+                                  files["want_triples"])
+                for name in ("triples", "reduced", "diagram"):
+                    got, want = files[name].read_bytes(), files[f"want_{name}"].read_bytes()
+                    assert got == want, (name, k, values.tolist())
+
+    @pytest.mark.parametrize("rows", ["7,2.5\n", "1,3\n2,3\n3,3\n"])
+    def test_spectrum_without_peaks_writes_only_the_header(self, tmp_path, rows):
+        spectrum = write_spectrum(tmp_path / "s.csv", rows)
+        for flags, header in ([], "position_index,mz,birth,death,persistence"), \
+                             (["--reduced"], "position_index,mz,persistence"):
+            out = tmp_path / "out.csv"
+            assert main(["transform", "--in", spectrum, "--out", str(out), *flags]) == 0
+            assert out.read_text() == header + "\n"
+
     def test_bad_k_exits_1_naming_the_bound(self, tmp_path, capsys):
         rc = main(["transform", "--in", write_spectrum(tmp_path / "s.csv"),
                    "--out", str(tmp_path / "o.csv"), "--k", "0"])
@@ -265,6 +319,18 @@ class TestClassifyCommand:
         assert rc == 1
         assert "at least 2 groups" in capsys.readouterr().err
 
+    def test_unmakeable_out_dir_exits_2_before_cross_validating(self, tmp_path, monkeypatch):
+        ds = two_class_dataset(n=8, q=20, seed=34, n_groups=2)
+        spectra, labels = write_dataset(ds, tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "group_cv", lambda *a, **kw: calls.append(a))
+        rc = main(["classify", "--spectra", spectra, "--labels", labels,
+                   "--out-dir", str(taken)])
+        assert rc == 2
+        assert calls == []
+
     def test_bad_labels_file_exits_1(self, tmp_path, capsys):
         ds = two_class_dataset(n=8, q=20, seed=34, n_groups=2)
         spectra, labels = write_dataset(ds, tmp_path)
@@ -314,6 +380,17 @@ class TestSimulateCommand:
         assert rc == 1
         assert "baseline must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "denoise"])
+    def test_unmakeable_out_dir_exits_2_before_simulating(self, tmp_path, monkeypatch, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "simulate_means", lambda *a: calls.append(a))
+        rc = main([command, "--out-dir", str(taken), "--size", "8", "--n-mz", "400",
+                   "--n-peaks", "4"])
+        assert rc == 2
+        assert calls == []
 
     def test_too_small_size_exits_1(self, tmp_path):
         rc = main(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "4"])

@@ -30,6 +30,8 @@ from topopeaks.cli import main
 from topopeaks.simulate import MZ_RANGE, _region_masks
 
 SMALL = SimulationSpec(size=12, n_mz=500, n_peaks=10, seed=3)
+# 144 and 169 pixels: 18 whole blocks of persistence._BLOCK = 8 rows, and 21 and a short one
+BLOCK_SPECS = (SMALL, SimulationSpec(size=13, n_mz=500, n_peaks=10, seed=3))
 
 
 class TestSimulationSpec:
@@ -179,20 +181,22 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("lam", [1.0, 30.0])
     def test_poisson_blocks_draw_the_whole_array_stream(self, lam):
-        # 144 pixels: two whole blocks of rows and a partial one
-        image, _ = generate_ground_truth(SMALL)
-        out = add_noise(image, NoiseModel("poisson", lam, seed=5))
-        counts = np.random.default_rng(5).poisson(lam, image.spectra.shape)
-        assert out.spectra.tobytes() == (image.spectra + counts).tobytes()
+        assert [spec.size ** 2 % persistence._BLOCK for spec in BLOCK_SPECS] == [0, 1]
+        for spec in BLOCK_SPECS:
+            image, _ = generate_ground_truth(spec)
+            out = add_noise(image, NoiseModel("poisson", lam, seed=5))
+            counts = np.random.default_rng(5).poisson(lam, image.spectra.shape)
+            assert out.spectra.tobytes() == (image.spectra + counts).tobytes(), spec.size
 
     @pytest.mark.parametrize("sd", [0.0, 0.3, 50.0])
     def test_gaussian_blocks_equal_the_whole_draw(self, sd):
-        # 144 pixels: two whole blocks of rows and a partial one
-        image, _ = generate_ground_truth(SMALL)
-        out = add_noise(image, NoiseModel("gaussian", sd, seed=5))
-        rng = np.random.default_rng(5)
-        whole = np.maximum(rng.normal(0, sd, image.spectra.shape) + image.spectra, 0)
-        assert out.spectra.tobytes() == whole.tobytes()
+        assert [spec.size ** 2 % persistence._BLOCK for spec in BLOCK_SPECS] == [0, 1]
+        for spec in BLOCK_SPECS:
+            image, _ = generate_ground_truth(spec)
+            out = add_noise(image, NoiseModel("gaussian", sd, seed=5))
+            rng = np.random.default_rng(5)
+            whole = np.maximum(rng.normal(0, sd, image.spectra.shape) + image.spectra, 0)
+            assert out.spectra.tobytes() == whole.tobytes(), spec.size
 
 
 class TestSimulateMeans:
@@ -302,6 +306,14 @@ class TestMemory:
             assert rc == 0
         assert peaks[30] <= 25e6
         assert abs(peaks[45] - peaks[30]) <= 2e6
+
+    def test_denoise_command_holds_one_kernel_block_at_a_time(self, tmp_path):
+        # one 8-row block of the 3466-point axis is 0.22 MB, the whole image 25 MB;
+        # 64-row blocks paired in 8 kernel passes each peaked at 12.6 MB
+        argv = ["denoise", "--size", "30", "--out-dir", str(tmp_path)]
+        rc, peak = self._peak(lambda: main(argv))
+        assert rc == 0
+        assert peak <= 5e6
 
     def test_outputs_share_the_frozen_mz_axis(self):
         image, _ = generate_ground_truth(SMALL)
