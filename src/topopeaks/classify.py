@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledDataset
+from .core import LabeledDataset, _binary_labels, _finite_range
 from .features import build_matrix
 
 
@@ -77,23 +77,13 @@ def _gain(y: np.ndarray, eta: np.ndarray, p: np.ndarray, d: np.ndarray) -> float
     return float(y @ d - soft.sum())
 
 
-def _as_matrix(Z) -> np.ndarray:
+def _as_matrix(Z) -> tuple[np.ndarray, float]:
+    """``Z`` as a finite 2-D float64 array, and the largest magnitude in it (0 when empty)."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise ValueError("feature matrix must be two-dimensional")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("feature matrix must be finite")
-    return Z
-
-
-def _as_binary(y, n: int) -> np.ndarray:
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {y.shape}")
-    y = y.astype(np.float64)
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be 0 or 1")
-    return y
+    lo, hi = _finite_range(Z, "feature matrix") if Z.size else (0.0, 0.0)
+    return Z, max(-lo, hi)
 
 
 def fit_logistic(Z, y) -> LogisticModel:
@@ -117,13 +107,13 @@ def fit_logistic(Z, y) -> LogisticModel:
     Features beyond ``_MAX_FEATURE`` (1e100) in magnitude raise ValueError,
     since R'(R*w) squares them past the float range.
     """
-    Z = _as_matrix(Z)
+    Z, top = _as_matrix(Z)
     n = Z.shape[0]
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    if Z.size and np.max(np.abs(Z)) > _MAX_FEATURE:
+    if top > _MAX_FEATURE:
         raise ValueError(f"logistic features must lie within ±{_MAX_FEATURE:g}")
-    y = _as_binary(y, n)
+    y = _binary_labels(y, n)
     X = np.column_stack([np.ones(n), Z])
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     R = U * s
@@ -181,9 +171,9 @@ def predict_logistic(model: LogisticModel, z):
     """
     Z, one_row = _as_rows(z, model.beta.size - 1)
     coef = model.beta[1:]
-    idle = (coef == 0.0) & ~np.isfinite(Z)
-    if idle.any():  # a zero coefficient adds nothing, even against ±inf or nan
-        Z = np.where(idle, 0.0, Z)
+    if Z.size and not (math.isfinite(Z.min()) and math.isfinite(Z.max())):
+        # a zero coefficient adds nothing, even against ±inf or nan
+        Z = np.where(coef == 0.0, 0.0, Z)
     p = _expit(model.beta[0] + Z @ coef)
     c = (p > _THRESHOLD).astype(np.int64)
     return (float(p[0]), int(c[0])) if one_row else (p, c)
@@ -306,6 +296,11 @@ def _build_tree(XT: np.ndarray, y: np.ndarray, start: np.ndarray,
     return root
 
 
+def _check_n_trees(n_trees: int) -> None:
+    if n_trees < 1:
+        raise ValueError("n_trees must be positive")
+
+
 def fit_forest(Z, y, *, n_trees: int = 1000, seed: int = 1234,
                bootstrap: bool = True) -> ForestModel:
     """Random forest of CART trees with Breiman's (2001) fixed rules.
@@ -320,13 +315,12 @@ def fit_forest(Z, y, *, n_trees: int = 1000, seed: int = 1234,
     or at a when the midpoint rounds up to b or overflows, so neither child
     is empty. ``Z`` must be finite.
     """
-    Z = _as_matrix(Z)
+    Z = _as_matrix(Z)[0]
     n, q = Z.shape
     if n == 0 or q == 0:
         raise ValueError("cannot fit on an empty dataset")
-    yi = _as_binary(y, n).astype(np.int64)
-    if n_trees < 1:
-        raise ValueError("n_trees must be positive")
+    yi = _binary_labels(y, n).astype(np.int64)
+    _check_n_trees(n_trees)
     XT = np.ascontiguousarray(Z.T)
     trees = []
     for child_seed in np.random.SeedSequence(seed).spawn(n_trees):

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import sys
 from pathlib import Path
 
 from . import persistence
-from .classify import group_cv
+from .classify import _check_n_trees, group_cv
 from .core import _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
 from .diagram import write_diagram_csv
 from .simulate import NoiseModel, SimulationSpec, bench_denoise, simulate_means
@@ -69,6 +70,7 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+@functools.cache  # one parser a process: building it costs more than a small command
 def _build_parser() -> _Parser:
     parser = _Parser(prog="topopeaks",
                      description="Persistence-based peak analysis of spectra")
@@ -82,6 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=float, default=100.0, help="percentage of peaks to keep, in (0, 100]")
     p.add_argument("--reduced", action="store_true", help="emit position and persistence only")
     p.add_argument("--diagram", help="also write the persistence diagram CSV here")
+    p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("classify", help="group-level cross-validated classification",
                        description="Cross-validate a classifier on persistence features.")
@@ -94,6 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=float, default=30.0, help="percentage of peaks to keep")
     p.add_argument("--n-trees", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1234)
+    p.set_defaults(run=_cmd_classify)
 
     def add_sim_flags(sp):
         sp.add_argument("--baseline", type=float, default=0.0)
@@ -109,6 +113,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out-dir", required=True)
         sp.add_argument("--size", type=int, default=30, help="image side length in pixels")
         add_sim_flags(sp)
+        sp.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("simulate", help="generate a synthetic image",
                        description="Write ground-truth and noisy mean images as PGM.")
@@ -126,6 +131,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", default="30,42,60", help="comma-separated image sizes")
     add_sim_flags(p)
     p.add_argument("--k", type=float, default=25.0)
+    p.set_defaults(run=_cmd_bench)
     return parser
 
 
@@ -147,6 +153,7 @@ def _parse_list(text: str, name: str, kind=float) -> list:
 
 
 def _cmd_transform(args) -> int:
+    persistence._check_k(args.k)
     spectrum = load_spectrum_csv(args.infile)
     triples = persistence.transform(spectrum)
     _log(f"transformed {len(spectrum)} points into {len(triples)} features")
@@ -166,6 +173,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    persistence._check_k(args.k)
+    if args.classifier == "forest":
+        _check_n_trees(args.n_trees)
     dataset = load_dataset_csv(args.spectra, args.labels)
     _log(f"loaded {dataset.n} spectra with {dataset.q} mz values")
     out_dir = Path(args.out_dir)
@@ -183,34 +193,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _simulate_and_write(args, ks=()) -> tuple[Path, list]:
-    """Simulate the flagged image, write its ground-truth and noisy PGMs.
-
-    Returns the output directory and the denoised mean grid of each k.
-    """
+def _cmd_simulate(args) -> int:
+    """The simulate and denoise commands: ground-truth and noisy PGMs, then one per denoise k."""
+    ks = ()
+    if args.command == "denoise":
+        ks = tuple(map(persistence._check_k, _parse_list(args.k, "k")))
     spec = SimulationSpec(size=args.size, n_mz=args.n_mz, n_peaks=args.n_peaks,
                           baseline=args.baseline, seed=args.seed)
     model = _noise_model(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    truth, noisy, *cleaned = simulate_means(spec, model, ks)
+    grids = simulate_means(spec, model, ks)
     _log(f"generated {args.size}x{args.size} image with {args.n_mz} mz values")
-    write_pgm(truth, out_dir / "ground_truth.pgm")
-    write_pgm(noisy, out_dir / "noisy.pgm")
-    return out_dir, cleaned
-
-
-def _cmd_simulate(args) -> int:
-    out_dir, _ = _simulate_and_write(args)
-    _log(f"wrote {out_dir / 'ground_truth.pgm'} and {out_dir / 'noisy.pgm'}")
-    return 0
-
-
-def _cmd_denoise(args) -> int:
-    ks = _parse_list(args.k, "k")
-    out_dir, cleaned = _simulate_and_write(args, tuple(ks))
-    for k, grid in zip(ks, cleaned):
-        name = f"denoised_k{k:g}.pgm"
+    names = ["ground_truth.pgm", "noisy.pgm", *(f"denoised_k{k:g}.pgm" for k in ks)]
+    for name, grid in zip(names, grids):
         write_pgm(grid, out_dir / name)
         _log(f"wrote {out_dir / name}")
     return 0
@@ -229,20 +225,11 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "transform": _cmd_transform,
-    "classify": _cmd_classify,
-    "simulate": _cmd_simulate,
-    "denoise": _cmd_denoise,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     _fix_mmap_threshold()
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"topopeaks: error: {exc}", file=sys.stderr)
         return 1

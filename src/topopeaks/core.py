@@ -36,11 +36,35 @@ def _frozen_f64(a) -> np.ndarray:
     return out
 
 
-def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+def _finite_range(a: np.ndarray, what: str) -> tuple[float, float]:
+    """Least and greatest value of the non-empty array ``a``, whose values must be finite.
+
+    The check reads only ``a.min()`` and ``a.max()``: a NaN propagates into
+    both, and +inf or -inf into one of them, so two reductions see every
+    value without an input-sized mask or copy.
+    """
+    lo, hi = a.min(), a.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{what} must be finite")
-    if np.any(a < 0):
+    return lo, hi
+
+
+def _check_finite_nonnegative(a: np.ndarray, what: str) -> tuple[float, float]:
+    """``_finite_range`` of ``a``, whose least value must also be at least 0, as -0.0 is."""
+    lo, hi = _finite_range(a, what)
+    if lo < 0:
         raise ValueError(f"{what} must be non-negative")
+    return lo, hi
+
+
+def _binary_labels(y, n: int) -> np.ndarray:
+    """``y`` as n float64 labels, each exactly 0 or 1; a fractional label is rejected."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"expected {n} labels, got shape {y.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return y
 
 
 def _mz_axis(mz) -> np.ndarray:
@@ -48,8 +72,7 @@ def _mz_axis(mz) -> np.ndarray:
     mz = _frozen_f64(mz)
     if mz.ndim != 1 or mz.size == 0:
         raise ValueError("mz must be a one-dimensional axis of at least one point")
-    if not np.all(np.isfinite(mz)):
-        raise ValueError("mz values must be finite")
+    _finite_range(mz, "mz values")
     if np.any(np.diff(mz) <= 0):
         raise ValueError("mz values must be strictly increasing")
     return mz
@@ -119,17 +142,14 @@ class LabeledDataset:
     def __post_init__(self):
         mz = _mz_axis(self.mz)
         intensities = _frozen_f64(self.intensities)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
-        labels.flags.writeable = False
         groups = tuple(str(g) for g in self.groups)
         if intensities.ndim != 2 or intensities.shape[1] != mz.size:
             raise ValueError(f"intensities must have shape (n, {mz.size})")
-        _check_finite_nonnegative(intensities, "intensities")
         n = intensities.shape[0]
-        if labels.shape != (n,):
-            raise ValueError(f"expected {n} labels, got {labels.shape}")
-        if labels.size and not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be 0 or 1")
+        if n:
+            _check_finite_nonnegative(intensities, "intensities")
+        labels = _binary_labels(self.labels, n).astype(np.int64)
+        labels.flags.writeable = False
         if len(groups) != n:
             raise ValueError(f"expected {n} group ids, got {len(groups)}")
         object.__setattr__(self, "mz", mz)
@@ -268,9 +288,8 @@ def write_pgm(grid, path) -> None:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError("grid must be two-dimensional")
-    _check_finite_nonnegative(grid, "grid values")
-    lo = grid.min()
-    span = grid.max() - lo
+    lo, hi = _check_finite_nonnegative(grid, "grid values")
+    span = hi - lo
     if span == 0:
         pixels = np.zeros(grid.shape, dtype=np.uint8)
     else:

@@ -335,6 +335,12 @@ class TestFitLogistic:
     def test_label_values_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             fit_logistic(np.zeros((2, 1)), np.array([0, 3]))
+        # both fits and LabeledDataset share one check: fractions are rejected
+        for fit in (fit_logistic, fit_forest):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                fit(np.arange(3.0)[:, None], [0.5, 1.9, -0.7])
+            with pytest.raises(ValueError, match=r"expected 3 labels, got shape \(2,\)"):
+                fit(np.arange(3.0)[:, None], [0, 1])
 
 
 def assert_same_fit(Z, y):
@@ -625,11 +631,12 @@ class TestFitForest:
 
     def test_non_finite_features_rejected(self):
         y = np.array([0, 0, 0, 1])
-        for bad in (np.nan, np.inf, -np.inf):
-            Z = np.array([[0.0], [1.0], [2.0], [bad]])
-            for fit in (fit_logistic, fit_forest):
-                with pytest.raises(ValueError, match="feature matrix must be finite"):
-                    fit(Z, y)
+        for first in (0.0, -1.0):  # a negative feature is accepted, a nan beside it is not
+            for bad in (np.nan, np.inf, -np.inf):
+                Z = np.array([[first], [1.0], [2.0], [bad]])
+                for fit in (fit_logistic, fit_forest):
+                    with pytest.raises(ValueError, match="feature matrix must be finite"):
+                        fit(Z, y)
 
     def test_parameter_validation(self):
         Z = np.zeros((2, 2))

@@ -240,11 +240,14 @@ class TestTransformCommand:
             assert main(["transform", "--in", spectrum, "--out", str(out), *flags]) == 0
             assert out.read_text() == header + "\n"
 
-    def test_bad_k_exits_1_naming_the_bound(self, tmp_path, capsys):
-        rc = main(["transform", "--in", write_spectrum(tmp_path / "s.csv"),
-                   "--out", str(tmp_path / "o.csv"), "--k", "0"])
+    def test_bad_k_exits_1_naming_the_bound(self, tmp_path, capsys, monkeypatch):
+        spectrum = write_spectrum(tmp_path / "s.csv")
+        loads = []
+        monkeypatch.setattr(cli, "load_spectrum_csv", loads.append)
+        rc = main(["transform", "--in", spectrum, "--out", str(tmp_path / "o.csv"), "--k", "0"])
         assert rc == 1
         assert "k must be in (0, 100]" in capsys.readouterr().err
+        assert loads == []  # rejected before the spectrum is read
 
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["transform", "--in", str(tmp_path / "absent.csv"),
@@ -330,6 +333,24 @@ class TestClassifyCommand:
                    "--out-dir", str(taken)])
         assert rc == 2
         assert calls == []
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "0"], "k must be in (0, 100], got 0.0"),
+        (["--classifier", "forest", "--n-trees", "0"], "n_trees must be positive"),
+    ], ids=["k", "n-trees"])
+    def test_bad_k_or_n_trees_exits_1_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                      flags, message):
+        ds = two_class_dataset(n=8, q=20, seed=34, n_groups=2)
+        spectra, labels = write_dataset(ds, tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset_csv", lambda *a: loads.append(a))
+        out_dir = tmp_path / "cv"
+        rc = main(["classify", "--spectra", spectra, "--labels", labels,
+                   "--out-dir", str(out_dir), *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert loads == []
+        assert not out_dir.exists()
 
     def test_bad_labels_file_exits_1(self, tmp_path, capsys):
         ds = two_class_dataset(n=8, q=20, seed=34, n_groups=2)
@@ -461,6 +482,18 @@ class TestDenoiseCommand:
         assert rc == 1
         assert "k must be in" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.pgm")) == []
+        assert not out_dir.exists()
+
+    def test_default_k_after_an_explicit_k(self, tmp_path):
+        # main reuses one parser; a flag given to one call must not become
+        # the next call's default
+        flags = ["--size", "8", "--n-mz", "400", "--n-peaks", "4", "--noise", "none"]
+        assert main(["denoise", "--out-dir", str(tmp_path / "k50"), *flags, "--k", "50"]) == 0
+        assert main(["denoise", "--out-dir", str(tmp_path / "default"), *flags]) == 0
+        assert sorted(p.name for p in (tmp_path / "k50").iterdir()) == [
+            "denoised_k50.pgm", "ground_truth.pgm", "noisy.pgm"]
+        assert sorted(p.name for p in (tmp_path / "default").iterdir()) == [
+            "denoised_k10.pgm", "denoised_k25.pgm", "ground_truth.pgm", "noisy.pgm"]
 
 
 class TestBenchCommand:

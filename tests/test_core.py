@@ -41,6 +41,7 @@ class TestSpectrum:
 
     def test_single_point_allowed(self):
         assert len(Spectrum(mz=[10.0], intensity=[4.0])) == 1
+        assert len(Spectrum(mz=[10.0], intensity=[-0.0])) == 1  # -0.0 is not negative
 
     @pytest.mark.parametrize(
         "mz,intensity,msg",
@@ -52,6 +53,9 @@ class TestSpectrum:
             ([1.0, 2.0], [1.0, -0.5], "non-negative"),
             ([1.0, np.inf], [1.0, 1.0], "finite"),
             ([1.0, 2.0], [np.nan, 1.0], "finite"),
+            ([1.0, 2.0], [-1.0, np.nan], "must be finite"),  # finiteness is checked first
+            ([1.0, 2.0], [1.0, -np.inf], "must be finite"),
+            ([1.0, 2.0], [np.inf, 1.0], "must be finite"),
         ],
     )
     def test_rejects_bad_input(self, mz, intensity, msg):
@@ -139,7 +143,8 @@ class TestLabeledDataset:
         empty = ds.subset([])
         assert empty.n == 0 and empty.groups == ()
 
-    @pytest.mark.parametrize("bad,msg", [(np.nan, "must be finite"), (-1.0, "must be non-negative")])
+    @pytest.mark.parametrize("bad,msg", [(np.nan, "must be finite"), (-1.0, "must be non-negative"),
+                                         (np.inf, "must be finite"), (-np.inf, "must be finite")])
     def test_intensities_checked(self, bad, msg):
         with pytest.raises(ValueError, match=msg):
             LabeledDataset(
@@ -157,6 +162,10 @@ class TestLabeledDataset:
                 labels=np.array([2]),
                 groups=("a",),
             )
+        # fractional labels are rejected, not truncated to 0, 1, 0
+        for labels in ([0.5, 1.9, -0.7], np.array([0.0, 1.0, 0.5])):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                LabeledDataset(np.array([1.0]), np.ones((3, 1)), labels, ("a", "b", "c"))
 
     def test_group_count_checked(self):
         with pytest.raises(ValueError, match="group ids"):
@@ -402,6 +411,12 @@ class TestPgm:
     def test_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError, match="grid values must be finite"):
             write_pgm(np.array([[np.inf, 2.0]]), tmp_path / "img.pgm")
+        assert not (tmp_path / "img.pgm").exists()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_empty_grid(self, tmp_path, shape):
+        with pytest.raises(ValueError):
+            write_pgm(np.zeros(shape), tmp_path / "img.pgm")
         assert not (tmp_path / "img.pgm").exists()
 
 

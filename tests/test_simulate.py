@@ -27,6 +27,7 @@ from topopeaks import (
 )
 from topopeaks import persistence
 from topopeaks.cli import main
+from topopeaks.core import LabeledDataset, MSImage, _Made
 from topopeaks.simulate import MZ_RANGE, _region_masks
 
 SMALL = SimulationSpec(size=12, n_mz=500, n_peaks=10, seed=3)
@@ -314,6 +315,17 @@ class TestMemory:
         rc, peak = self._peak(lambda: main(argv))
         assert rc == 0
         assert peak <= 5e6
+
+    def test_input_checks_make_no_input_sized_array(self):
+        # a library-made 900 x 3466 array (25 MB) is frozen, not copied, and
+        # checked from its min and max: no 3.1 MB mask of it is made either
+        spectra = np.random.default_rng(0).random((900, 3466))
+        mz = np.linspace(*MZ_RANGE, 3466)
+        labels, groups = np.tile([0, 1], 450), tuple(str(i // 90) for i in range(900))
+        for make in (lambda: MSImage(30, 30, mz, _Made(spectra)),
+                     lambda: LabeledDataset(mz, _Made(spectra), labels, groups)):
+            assert self._peak(make)[1] < 1e6
+        assert not spectra.flags.writeable  # frozen in place
 
     def test_outputs_share_the_frozen_mz_axis(self):
         image, _ = generate_ground_truth(SMALL)
