@@ -282,8 +282,8 @@ def load_dataset_csv(spectra_path, labels_path) -> LabeledDataset:
 def write_pgm(grid, path) -> None:
     """Write a 2-D grid as a binary PGM (P5, maxval 255).
 
-    Values are min-max scaled to 0..255 with round-half-up; a constant grid
-    maps to all zeros.
+    Values are min-max scaled to 0..255 with round-half-up, for any finite
+    non-negative grid; a constant grid maps to all zeros.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
@@ -293,7 +293,13 @@ def write_pgm(grid, path) -> None:
     if span == 0:
         pixels = np.zeros(grid.shape, dtype=np.uint8)
     else:
-        scaled = 255.0 * (grid - lo) / span
+        shifted = grid - lo
+        if math.isinf(255.0 * float(span)):
+            # 255 * span passes the float range: scale both by 2**-8, which
+            # keeps every ratio that can round to a non-zero pixel exact
+            shifted *= 2.0**-8
+            span *= 2.0**-8
+        scaled = 255.0 * shifted / span
         pixels = np.floor(scaled + 0.5).astype(np.uint8)
     h, w = grid.shape
     with open(path, "wb") as fh:

@@ -9,6 +9,9 @@ import numpy as np
 
 from .core import _write_csv
 
+# rows of the cost matrix that one step builds or thresholds
+_ROWS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
@@ -110,6 +113,30 @@ def _covers(adj: np.ndarray) -> bool:
     return True
 
 
+def _cost_matrix(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Infinity-norm distances between the (birth, death) rows of p1 and p2.
+
+    Built in place: |delta birth| first, then |delta death| folded in
+    ``_ROWS`` rows at a time, so the matrix is the one array of its size.
+    """
+    cost = np.subtract.outer(p1[:, 0], p2[:, 0])
+    np.abs(cost, out=cost)
+    for s in range(0, cost.shape[0], _ROWS):
+        block = cost[s:s + _ROWS]
+        deaths = np.subtract.outer(p1[s:s + _ROWS, 1], p2[:, 1])
+        np.maximum(block, np.abs(deaths, out=deaths), out=block)
+    return cost
+
+
+def _near(cost: np.ndarray, forced: np.ndarray, t: float) -> np.ndarray:
+    """``cost[forced] <= t``, gathered ``_ROWS`` rows at a time."""
+    rows = np.flatnonzero(forced)
+    near = np.empty((rows.size, cost.shape[1]), dtype=bool)
+    for s in range(0, rows.size, _ROWS):
+        np.less_equal(cost[rows[s:s + _ROWS]], t, out=near[s:s + _ROWS])
+    return near
+
+
 def _feasible(t: float, cost: np.ndarray, gap1: np.ndarray, gap2: np.ndarray) -> bool:
     """Whether the diagrams admit a matching of cost at most t.
 
@@ -122,8 +149,11 @@ def _feasible(t: float, cost: np.ndarray, gap1: np.ndarray, gap2: np.ndarray) ->
     covering a row set A and a column set B iff it has one covering A and
     another covering B. The test is therefore two one-sided matchings: the
     forced rows against all columns, and the forced columns against all rows.
+    Each side thresholds only its forced rows (or columns) of ``cost``: the
+    test makes one boolean matrix of them per side, and no float copy of
+    more than ``_ROWS`` of them.
     """
-    return _covers(cost[gap1 > t] <= t) and _covers((cost[:, gap2 > t] <= t).T)
+    return _covers(_near(cost, gap1 > t, t)) and _covers(_near(cost.T, gap2 > t, t))
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -139,6 +169,10 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     feasible candidate above it is found by bisection over the sorted
     candidates up to the upper bound. Each step decides feasibility with
     :func:`_feasible`, so no floating tolerance enters the result.
+
+    The float64 cost matrix, built in place by :func:`_cost_matrix`, is the
+    one n1 x n2 float array the call holds. Beside it, the call holds at most
+    two boolean matrices of its shape, while it gathers the candidate costs.
     """
     p1 = np.array(d1.points, dtype=np.float64).reshape(-1, 2)
     p2 = np.array(d2.points, dtype=np.float64).reshape(-1, 2)
@@ -146,10 +180,7 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         return 0.0
     gap1 = (p1[:, 0] - p1[:, 1]) / 2.0
     gap2 = (p2[:, 0] - p2[:, 1]) / 2.0
-    cost = np.maximum(
-        np.abs(p1[:, 0][:, None] - p2[:, 0][None, :]),
-        np.abs(p1[:, 1][:, None] - p2[:, 1][None, :]),
-    )
+    cost = _cost_matrix(p1, p2)
     gaps = np.concatenate((gap1, gap2))
     cheapest = np.concatenate((
         np.min(cost, axis=1, initial=np.inf),
@@ -159,7 +190,10 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     if _feasible(lower, cost, gap1, gap2):
         return float(lower)
     upper = np.max(gaps)
-    within = cost[(cost >= lower) & (cost <= upper)]
+    keep = cost >= lower
+    keep &= cost <= upper
+    within = cost[keep]
+    del keep  # so that the bisection holds no mask of the matrix's shape
     cands = np.unique(np.concatenate((gaps[gaps >= lower], within)))
     # cands[0] is the lower bound, just found infeasible; cands[hi] is the
     # upper bound, which is feasible.

@@ -390,6 +390,12 @@ class TestPgm:
         write_pgm(np.array([[0.0, 1.0, 2.0]]), path)
         np.testing.assert_array_equal(read_pgm(path), [[0, 128, 255]])
 
+    def test_range_past_float_max_over_255(self, tmp_path):
+        # 255 * (max - min) overflows; the pixels still scale, with no warning
+        path = tmp_path / "img.pgm"
+        write_pgm(np.array([[0.0, 2.0**1020, 2.0**1019]]), path)
+        np.testing.assert_array_equal(read_pgm(path), [[0, 255, 128]])
+
     def test_constant_image_is_black(self, tmp_path):
         path = tmp_path / "img.pgm"
         write_pgm(np.full((2, 3), 7.0), path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -154,8 +155,14 @@ def count_feasible_calls(monkeypatch, d1, d2) -> tuple[float, int]:
     return bottleneck_distance(d1, d2), len(calls)
 
 
-def random_diagram(rng, max_points=4, grid=None) -> PersistenceDiagram:
-    n = int(rng.integers(0, max_points + 1))
+B = diagram._ROWS
+BLOCK_EDGES = [0, 1, B - 1, B, B + 1, 2 * B + 1]
+
+
+def random_diagram(rng, max_points=4, grid=None, n=None) -> PersistenceDiagram:
+    """n points, or a uniform count of 0..max_points when n is None."""
+    if n is None:
+        n = int(rng.integers(0, max_points + 1))
     pts = []
     for _ in range(n):
         if grid is None:
@@ -315,6 +322,38 @@ class TestBottleneckAgainstReference:
             assert got == expected
             assert bottleneck_distance(d2, d1) == expected
 
+    @pytest.mark.parametrize("grid", [None, np.arange(6, dtype=float)],
+                             ids=["continuous", "tied-grid"])
+    @pytest.mark.parametrize("n1", BLOCK_EDGES)
+    def test_row_block_edges(self, n1, grid):
+        # the cost matrix is built, and its forced rows thresholded, in
+        # blocks of diagram._ROWS rows: sizes on either side of one and two
+        # blocks, against partners of every such size
+        rng = np.random.default_rng(1000 + n1 + (0 if grid is None else 1))
+        d1 = random_diagram(rng, grid=grid, n=n1)
+        for n2 in BLOCK_EDGES:
+            d2 = random_diagram(rng, grid=grid, n=n2)
+            expected = reference_bottleneck(d1, d2)
+            assert bottleneck_distance(d1, d2) == expected
+            assert bottleneck_distance(d2, d1) == expected
+
+
+class TestNear:
+    """The forced rows of ``cost <= t``, thresholded block by block."""
+
+    @pytest.mark.parametrize("n_forced", BLOCK_EDGES)
+    def test_equals_indexing_then_comparing(self, n_forced):
+        # rows of the matrix, and rows of its transpose (forced columns)
+        rng = np.random.default_rng(108)
+        cost = rng.integers(0, 5, size=(2 * B + 3, 2 * B + 3)).astype(float)
+        forced = np.zeros(cost.shape[0], dtype=bool)
+        forced[rng.choice(cost.shape[0], size=n_forced, replace=False)] = True
+        for t in (-1.0, 0.0, 2.0, 4.0):
+            for c in (cost, cost.T):
+                near = diagram._near(c, forced, t)
+                assert near.dtype == bool
+                np.testing.assert_array_equal(near, c[forced] <= t)
+
 
 class TestBottleneckAtRealSize:
     def test_thousand_point_diagrams(self):
@@ -332,6 +371,41 @@ class TestBottleneckAtRealSize:
         assert reference_feasible(dist, cost, gap1, gap2)
         assert not reference_feasible(cands[i - 1], cost, gap1, gap2)
         assert bottleneck_distance(d2, d1) == dist
+
+    def test_holds_one_cost_matrix(self):
+        # the float64 cost matrix, and no second array of its size: the
+        # masks and forced rows beside it are boolean or a few rows high
+        d1, d2 = real_size_pair()
+        tracemalloc.start()
+        try:
+            bottleneck_distance(d1, d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(d1) * len(d2) * 8
+
+    def test_feasibility_matches_reference_across_thresholds(self):
+        # from below the lower bound through the candidates between the
+        # bounds up to the largest half-gap, with each diagram first; the
+        # reference's graph for the second order mirrors that of the first
+        d1, d2 = real_size_pair()
+        cost, gap1, gap2 = reference_costs(d1, d2)
+        gaps = np.concatenate((gap1, gap2))
+        cheapest = np.concatenate((cost.min(axis=1), cost.min(axis=0)))
+        lower, upper = np.max(np.minimum(gaps, cheapest)), np.max(gaps)
+        cands = reference_candidates(cost, gap1, gap2)
+        between = [c for c in cands if lower <= c <= upper]
+        below = [c for c in cands if c < lower]
+        thresholds = [0.0, below[len(below) // 2], below[-1]]
+        thresholds += [between[i] for i in
+                       np.linspace(0, len(between) - 1, 40).round().astype(int)]
+        seen = set()
+        for t in thresholds:
+            expected = reference_feasible(t, cost, gap1, gap2)
+            assert diagram._feasible(t, cost, gap1, gap2) == expected, t
+            assert diagram._feasible(t, cost.T, gap2, gap1) == expected, t
+            seen.add(expected)
+        assert seen == {False, True}
 
 
 class TestMetricAxioms:
