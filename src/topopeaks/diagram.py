@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import _write_csv
 
-# rows of the cost matrix that one step builds or thresholds
+# rows of the cost matrix that one step of its construction fills
 _ROWS = 64
 
 
@@ -128,15 +128,6 @@ def _cost_matrix(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _near(cost: np.ndarray, forced: np.ndarray, t: float) -> np.ndarray:
-    """``cost[forced] <= t``, gathered ``_ROWS`` rows at a time."""
-    rows = np.flatnonzero(forced)
-    near = np.empty((rows.size, cost.shape[1]), dtype=bool)
-    for s in range(0, rows.size, _ROWS):
-        np.less_equal(cost[rows[s:s + _ROWS]], t, out=near[s:s + _ROWS])
-    return near
-
-
 def _feasible(t: float, cost: np.ndarray, gap1: np.ndarray, gap2: np.ndarray) -> bool:
     """Whether the diagrams admit a matching of cost at most t.
 
@@ -149,11 +140,8 @@ def _feasible(t: float, cost: np.ndarray, gap1: np.ndarray, gap2: np.ndarray) ->
     covering a row set A and a column set B iff it has one covering A and
     another covering B. The test is therefore two one-sided matchings: the
     forced rows against all columns, and the forced columns against all rows.
-    Each side thresholds only its forced rows (or columns) of ``cost``: the
-    test makes one boolean matrix of them per side, and no float copy of
-    more than ``_ROWS`` of them.
     """
-    return _covers(_near(cost, gap1 > t, t)) and _covers(_near(cost.T, gap2 > t, t))
+    return _covers(cost[gap1 > t] <= t) and _covers((cost[:, gap2 > t] <= t).T)
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -170,9 +158,13 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     candidates up to the upper bound. Each step decides feasibility with
     :func:`_feasible`, so no floating tolerance enters the result.
 
-    The float64 cost matrix, built in place by :func:`_cost_matrix`, is the
-    one n1 x n2 float array the call holds. Beside it, the call holds at most
-    two boolean matrices of its shape, while it gathers the candidate costs.
+    The float64 cost matrix is built in place by :func:`_cost_matrix`, with
+    no float temporary of its size. Beside it, the call makes two boolean
+    masks of its shape while it gathers the costs between the bounds, a few
+    float copies of those costs (each up to n1 x n2 when most costs lie
+    between the bounds), and in each feasibility test a float copy of the
+    forced rows and of the forced columns (all of them when every half-gap
+    exceeds the threshold).
     """
     p1 = np.array(d1.points, dtype=np.float64).reshape(-1, 2)
     p2 = np.array(d2.points, dtype=np.float64).reshape(-1, 2)

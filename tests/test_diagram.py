@@ -326,9 +326,9 @@ class TestBottleneckAgainstReference:
                              ids=["continuous", "tied-grid"])
     @pytest.mark.parametrize("n1", BLOCK_EDGES)
     def test_row_block_edges(self, n1, grid):
-        # the cost matrix is built, and its forced rows thresholded, in
-        # blocks of diagram._ROWS rows: sizes on either side of one and two
-        # blocks, against partners of every such size
+        # the cost matrix is built in blocks of diagram._ROWS rows: sizes on
+        # either side of one and two blocks, against partners of every such
+        # size
         rng = np.random.default_rng(1000 + n1 + (0 if grid is None else 1))
         d1 = random_diagram(rng, grid=grid, n=n1)
         for n2 in BLOCK_EDGES:
@@ -336,23 +336,6 @@ class TestBottleneckAgainstReference:
             expected = reference_bottleneck(d1, d2)
             assert bottleneck_distance(d1, d2) == expected
             assert bottleneck_distance(d2, d1) == expected
-
-
-class TestNear:
-    """The forced rows of ``cost <= t``, thresholded block by block."""
-
-    @pytest.mark.parametrize("n_forced", BLOCK_EDGES)
-    def test_equals_indexing_then_comparing(self, n_forced):
-        # rows of the matrix, and rows of its transpose (forced columns)
-        rng = np.random.default_rng(108)
-        cost = rng.integers(0, 5, size=(2 * B + 3, 2 * B + 3)).astype(float)
-        forced = np.zeros(cost.shape[0], dtype=bool)
-        forced[rng.choice(cost.shape[0], size=n_forced, replace=False)] = True
-        for t in (-1.0, 0.0, 2.0, 4.0):
-            for c in (cost, cost.T):
-                near = diagram._near(c, forced, t)
-                assert near.dtype == bool
-                np.testing.assert_array_equal(near, c[forced] <= t)
 
 
 class TestBottleneckAtRealSize:
@@ -373,8 +356,9 @@ class TestBottleneckAtRealSize:
         assert bottleneck_distance(d2, d1) == dist
 
     def test_holds_one_cost_matrix(self):
-        # the float64 cost matrix, and no second array of its size: the
-        # masks and forced rows beside it are boolean or a few rows high
+        # the float64 cost matrix, and no second float array of its size:
+        # on this pair few costs lie between the bounds and at most 23 rows
+        # or columns are forced, so the copies beside the matrix are small
         d1, d2 = real_size_pair()
         tracemalloc.start()
         try:
