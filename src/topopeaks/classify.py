@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledDataset, _binary_labels, _finite_range
+from .core import LabeledDataset, _binary_labels, _check_seed, _finite_range
 from .features import build_matrix
 
 
@@ -321,6 +321,7 @@ def fit_forest(Z, y, *, n_trees: int = 1000, seed: int = 1234,
         raise ValueError("cannot fit on an empty dataset")
     yi = _binary_labels(y, n).astype(np.int64)
     _check_n_trees(n_trees)
+    _check_seed(seed)
     XT = np.ascontiguousarray(Z.T)
     trees = []
     for child_seed in np.random.SeedSequence(seed).spawn(n_trees):

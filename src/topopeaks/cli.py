@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import persistence
 from .classify import _check_n_trees, group_cv
-from .core import _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
+from .core import _check_seed, _write_csv, load_dataset_csv, load_spectrum_csv, write_pgm
 from .diagram import write_diagram_csv
 from .simulate import NoiseModel, SimulationSpec, bench_denoise, simulate_means
 
@@ -176,6 +176,7 @@ def _cmd_classify(args) -> int:
     persistence._check_k(args.k)
     if args.classifier == "forest":
         _check_n_trees(args.n_trees)
+        _check_seed(args.seed)
     dataset = load_dataset_csv(args.spectra, args.labels)
     _log(f"loaded {dataset.n} spectra with {dataset.q} mz values")
     out_dir = Path(args.out_dir)

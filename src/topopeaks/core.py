@@ -67,6 +67,12 @@ def _binary_labels(y, n: int) -> np.ndarray:
     return y
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative seed up front: ``numpy.random`` refuses one only when it is used."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _mz_axis(mz) -> np.ndarray:
     """Frozen copy of an m/z axis: one-dimensional, non-empty, finite, strictly increasing."""
     mz = _frozen_f64(mz)

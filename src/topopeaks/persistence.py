@@ -10,14 +10,15 @@ minus its death.
 
 Three independent routes compute the same pairing. One serves production:
 
-* :func:`_pair_block` finds each peak's nearest elder and saddle by pointer
-  jumping over the sequence of peaks, carrying the valley minima between
-  neighbouring peaks, for a block of rows at once, and returns the peaks in
-  position order. :func:`transform` sorts its triples from a block of one
-  row, so every persistence diagram runs it; :func:`_topk_vectors` selects
-  the top-k% persistence vectors that ``build_matrix``, ``denoise`` and
-  ``transform --k`` keep from it, for several k from one pairing, by each
-  row's cut value rather than by a sort.
+* :func:`_pair_block` finds the peaks, and the valley minima between
+  neighbouring peaks, in one pass over each row's extrema, then each peak's
+  nearest elder and saddle by pointer jumping over the sequence of peaks,
+  for a block of rows at once, and returns the peaks in position order.
+  :func:`transform` sorts its triples from a block of one row, so every
+  persistence diagram runs it; :func:`_topk_vectors` selects the top-k%
+  persistence vectors that ``build_matrix``, ``denoise`` and ``transform
+  --k`` keep from it, for several k from one pairing, by each row's cut
+  value rather than by a sort.
 
 Two are references that no command runs:
 
@@ -261,8 +262,9 @@ def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, thr: np.ndarray,
             break
         nxt = link[act]
         low[act] = np.minimum(low[act], low[nxt])
-        link[act] = link[nxt]
-        act = act[birth[link[act]] < thr[act]]
+        nxt = link[nxt]
+        link[act] = nxt
+        act = act[birth[nxt] < thr[act]]
     return act
 
 
@@ -320,24 +322,39 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarr
 def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row, position, persistence and death of every positive-persistence peak of a block.
 
-    The peaks come in the order ``np.nonzero`` finds them: grouped by row,
-    in position order within a row.
+    The peaks come grouped by row, in position order within a row. Peaks and
+    valleys come from one pass over each row's extrema, which alternate
+    between peaks and minima: the valley between two neighbouring peaks is
+    read at the one minimum between them, the rightmost of equal lowest
+    values. Deaths are read from the input, never computed.
     """
     b, q = rows.shape
-    # Peaks: local maxima of the total order (-value, position), i.e. above
-    # the left neighbour and at least the right one. A plateau that rises
-    # again yields a zero-persistence peak, dropped at the end. Two peaks are
-    # never adjacent, and a row's nearest elder on either side is a peak.
-    is_peak = np.ones((b, q), dtype=bool)
-    is_peak[:, 1:] = rows[:, 1:] > rows[:, :-1]
-    is_peak[:, :-1] &= rows[:, :-1] >= rows[:, 1:]
-    row, pos = np.nonzero(is_peak)
+    # Extrema of the total order (-value, position): a position rises when it
+    # is above its left neighbour, and position 0 when it is not below its
+    # right one. The extrema are the row ends and every position after which
+    # the rise flips; a rising extremum is a peak (above the left neighbour,
+    # at least the right one), else a minimum. A plateau that rises again
+    # yields a zero-persistence peak, dropped at the end. Two peaks are never
+    # adjacent, and a row's nearest elder on either side is a peak.
+    rise = np.empty((b, q), dtype=bool)
+    np.greater(rows[:, 1:], rows[:, :-1], out=rise[:, 1:])
+    rise[:, 0] = True if q == 1 else ~rise[:, 1]
+    turn = np.empty((b, q), dtype=bool)
+    np.not_equal(rise[:, :-1], rise[:, 1:], out=turn[:, :-1])
+    turn[:, -1] = True
+    ext = np.flatnonzero(turn)
+    peak = np.flatnonzero(rise.ravel()[ext])
+    at = ext[peak]
+    row, pos = divmod(at, q)
     flat = rows.ravel()
-    at = row * q + pos
     n = pos.size
-    # valley[i]: the minimum between peak i and peak i + 1 (peak i's own value
-    # is above it); across a row end it is never read.
-    valley = np.minimum.reduceat(flat, at)
+    # valley[i]: the minimum between peak i and peak i + 1. Within a row
+    # peaks and minima alternate; the values never rise from a peak to the
+    # next extremum and strictly rise from it to the next peak, so that
+    # extremum holds the minimum (the rightmost of equal lowest values).
+    # Across a row end it is never read; the block's last extremum may be a
+    # peak, so its index is clamped.
+    valley = flat[ext[np.minimum(peak + 1, ext.size - 1)]]
 
     # One search per peak and side: entries 0..n-1 look left, n+1..2n right.
     # Links start at the neighbouring peak, or at the row end's sentinel, n or 2n+1.

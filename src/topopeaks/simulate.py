@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MSImage, _Made, _check_finite_nonnegative
+from .core import MSImage, _Made, _check_finite_nonnegative, _check_seed
 from .persistence import _BLOCK, _check_k, _topk_vectors
 
 MZ_RANGE = (500.0, 2000.0)  # the m/z axis spans this range
@@ -41,6 +41,7 @@ class SimulationSpec:
             raise ValueError("need at least 2 peaks, one per region")
         if not (math.isfinite(self.baseline) and self.baseline >= 0):
             raise ValueError("baseline must be finite and non-negative")
+        _check_seed(self.seed)
         slots = self.n_mz - 2 * _EDGE - (self.n_peaks - 1) * _GAP
         if slots < self.n_peaks:
             raise ValueError(
@@ -61,6 +62,7 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not (math.isfinite(self.level) and self.level >= 0):
             raise ValueError("noise level must be finite and non-negative")
+        _check_seed(self.seed)
 
 
 def _region_masks(size: int) -> tuple[np.ndarray, np.ndarray]:

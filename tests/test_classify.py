@@ -549,6 +549,11 @@ class TestFitForest:
             fit_forest(Z, y, n_trees=3)
             assert sizes and set(sizes) == {n_cand}, q
 
+    def test_negative_seed_is_refused(self):
+        Z = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            fit_forest(Z, [0, 0, 1, 1], n_trees=1, seed=-1)
+
     def test_same_seed_same_model(self):
         ds = two_class_dataset(n=20, q=25, seed=3)
         Z = build_matrix(ds, 50)

@@ -352,6 +352,19 @@ class TestClassifyCommand:
         assert loads == []
         assert not out_dir.exists()
 
+    def test_negative_forest_seed_exits_1_before_reading(self, tmp_path, capsys, monkeypatch):
+        ds = two_class_dataset(n=8, q=20, seed=34, n_groups=2)
+        spectra, labels = write_dataset(ds, tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset_csv", lambda *a: loads.append(a))
+        out_dir = tmp_path / "cv"
+        rc = main(["classify", "--spectra", spectra, "--labels", labels,
+                   "--out-dir", str(out_dir), "--classifier", "forest", "--seed", "-1"])
+        assert rc == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert loads == []
+        assert not out_dir.exists()
+
     def test_bad_labels_file_exits_1(self, tmp_path, capsys):
         ds = two_class_dataset(n=8, q=20, seed=34, n_groups=2)
         spectra, labels = write_dataset(ds, tmp_path)
@@ -400,6 +413,14 @@ class TestSimulateCommand:
                    "--n-mz", "400", "--n-peaks", "4", "--baseline", "inf"])
         assert rc == 1
         assert "baseline must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "denoise"])
+    def test_negative_seed_exits_1_before_writing(self, tmp_path, capsys, command):
+        rc = main([command, "--out-dir", str(tmp_path / "sim"), "--size", "8",
+                   "--n-mz", "400", "--n-peaks", "4", "--seed", "-1"])
+        assert rc == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "denoise"])

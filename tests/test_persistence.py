@@ -506,6 +506,74 @@ class TestPairBlock:
         values = data.draw(st.lists(st.integers(0, 4), min_size=b * q, max_size=b * q))
         self._assert_matches(np.reshape(values, (b, q)))
 
+    def test_row_ends(self):
+        # every pairing of how a row starts and ends: on a plateau at the top
+        # or bottom, on a minimum, on a peak; one row per block and all at once
+        starts = ([2, 2, 1], [0, 0, 1], [0, 2, 1], [2, 0, 1])
+        ends = ([1, 2, 2], [1, 0, 0], [1, 2, 0], [1, 0, 2])
+        rows = np.array([s + [3, 1, 2, 0] + e for s in starts for e in ends], dtype=float)
+        for row in rows:
+            self._assert_matches(row[None, :])
+        for s in range(0, len(rows), _BLOCK):
+            self._assert_matches(rows[s:s + _BLOCK])
+        self._assert_matches(rows)
+
+    def test_block_ending_on_a_peak(self):
+        # the last position of the last row is a peak, so the block's last
+        # extremum is its last peak and the clamped valley index is read
+        for rows in ([[0, 1]], [[5]], [[1], [0], [2]], [[0, 2, 1, 3], [1, 0, 0, 2]],
+                     [[2, 2, 0, 1], [3, 1, 1, 1], [0, 1, 1, 2]]):
+            rows = np.asarray(rows, dtype=float)
+            last = rows[-1]
+            assert last.size == 1 or last[-1] > last[-2]
+            self._assert_matches(rows)
+
+    def test_mixed_short_blocks(self):
+        rng = np.random.default_rng(48)
+        for b in (1, 3, _BLOCK):
+            for q in (1, 2, 3, 4):
+                for _ in range(20):
+                    ramp = np.arange(q, dtype=float)[::rng.choice((1, -1))]
+                    kinds = (rng.integers(0, 3, size=q).astype(float), rng.uniform(0, 2, size=q),
+                             np.full(q, rng.integers(0, 3)), ramp)
+                    rows = np.array([kinds[i] for i in rng.integers(0, len(kinds), size=b)])
+                    self._assert_matches(rows)
+
+    @given(st.integers(1, _BLOCK), st.integers(1, 40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_valleys_are_the_minima_between_neighbouring_peaks(self, b, q, data):
+        # rows of small integers in runs; the valley carried between two
+        # neighbouring peaks of a row, as _jump first sees it, is the least
+        # value strictly between them
+        values = data.draw(st.lists(st.integers(0, 3), min_size=b * q, max_size=b * q))
+        again = data.draw(st.lists(st.booleans(), min_size=b * q, max_size=b * q))
+        for i in range(b * q):
+            if again[i] and i % q:
+                values[i] = values[i - 1]
+        rows = np.reshape(values, (b, q)).astype(float)
+        lows = []
+        jump = persistence._jump
+
+        def spy(birth, link, low, thr, rounds):
+            lows.append(low.copy())
+            return jump(birth, link, low, thr, rounds)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(persistence, "_jump", spy)
+            self._assert_matches(rows)
+        valley = []  # between each peak and the next, None across a row end
+        for x in rows.tolist():
+            peaks = [i for i in range(q)
+                     if (i == 0 or x[i] > x[i - 1]) and (i == q - 1 or x[i] >= x[i + 1])]
+            valley += [min(x[p + 1:r]) for p, r in zip(peaks, peaks[1:])] + [None]
+        n = len(valley)
+        (low,) = lows
+        assert low.size == 2 * n + 2
+        for i, v in enumerate(valley):
+            if v is not None:
+                assert low[n + 1 + i] == v  # peak i's right search
+                assert low[i + 1] == v  # peak i + 1's left search
+
     @staticmethod
     def _count_lifts(monkeypatch):
         """Spy on binary lifting: the list it returns gets each call's peak count."""

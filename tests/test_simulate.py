@@ -68,6 +68,12 @@ class TestSimulationSpec:
         with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
             NoiseModel(kind, level)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SimulationSpec(seed=-1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            NoiseModel("gaussian", 0.1, seed=-1)
+
 
 class TestRegionGeometry:
     def test_masks_disjoint_and_nonempty(self):
