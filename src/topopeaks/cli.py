@@ -153,20 +153,22 @@ def _parse_list(text: str, name: str, kind=float) -> list:
 
 
 def _cmd_transform(args) -> int:
-    persistence._check_k(args.k)
+    k = persistence._check_k(args.k)
     spectrum = load_spectrum_csv(args.infile)
-    triples = persistence.transform(spectrum)
+    # one pairing gives the triples, the diagram and the top-k% peaks
+    row, pos, pers, death = persistence._pair_block(spectrum.intensity[None, :])
+    triples = persistence._triples(spectrum.intensity, pos, death)
     _log(f"transformed {len(spectrum)} points into {len(triples)} features")
-    vector = persistence._topk_vectors(spectrum.intensity[None, :], (args.k,))[0][0]
     if args.diagram:
         write_diagram_csv(persistence.to_diagram(triples), args.diagram)
         _log(f"wrote {args.diagram}")
-    kept = vector.nonzero()[0]  # the top-k% peaks, which carry their persistence
+    (kept,) = persistence._select(row, pers, 1, (k,))  # in position order
     if args.reduced:
-        pairs = map(persistence.PersistencePair, kept.tolist(), vector[kept].tolist())
+        pairs = map(persistence.PersistencePair, pos[kept].tolist(), pers[kept].tolist())
         persistence.write_pairs_csv(pairs, spectrum.mz, args.out)
     else:
-        triples = [t for t in triples if vector[t.position]]  # transform's order
+        chosen = set(pos[kept].tolist())
+        triples = [t for t in triples if t.position in chosen]  # transform's order
         persistence.write_triples_csv(triples, spectrum.mz, args.out)
     _log(f"wrote {args.out} ({kept.size} features at k={args.k})")
     return 0

@@ -13,12 +13,16 @@ Three independent routes compute the same pairing. One serves production:
 * :func:`_pair_block` finds the peaks, and the valley minima between
   neighbouring peaks, in one pass over each row's extrema, then each peak's
   nearest elder and saddle by pointer jumping over the sequence of peaks,
-  for a block of rows at once, and returns the peaks in position order.
+  for a block of rows at once, and returns the peaks in position order. A
+  search ends at the first valley at its row's minimum, which cannot change
+  a death; rows holding a -0.0 search to the end, so zero deaths keep
+  their sign.
   :func:`transform` sorts its triples from a block of one row, so every
-  persistence diagram runs it; :func:`_topk_vectors` selects the top-k%
-  persistence vectors that ``build_matrix``, ``denoise`` and ``transform
-  --k`` keep from it, for several k from one pairing, by each row's cut
-  value rather than by a sort.
+  persistence diagram runs it; :func:`_select` picks the top-k% peaks
+  from its arrays, for several k from one pairing, by each row's cut value
+  rather than by a sort. :func:`_topk_vectors` scatters them into the
+  persistence vectors of ``build_matrix`` and ``denoise``, and ``transform
+  --k`` keeps them from the pairing that gave its triples.
 
 Two are references that no command runs:
 
@@ -146,6 +150,12 @@ def transform(spectrum: Spectrum) -> list[FeatureTriple]:
     """
     values = np.asarray(spectrum.intensity, dtype=np.float64)
     _, pos, _, death = _pair_block(values[None, :])
+    return _triples(values, pos, death)
+
+
+def _triples(values: np.ndarray, pos: np.ndarray, death: np.ndarray) -> list[FeatureTriple]:
+    """:func:`transform`'s triples from the positions and deaths that
+    :func:`_pair_block` gives for the one row ``values``."""
     if not pos.size:
         v = float(values[0])
         return [FeatureTriple(0, v, v)]
@@ -255,6 +265,11 @@ def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, thr: np.ndarray,
     the peak too: entry i takes its link's link and the lower of the two
     minima. Runs at most ``rounds`` rounds, in place, and returns the
     entries still searching.
+
+    A search that :func:`_pair_block` stopped at its row's minimum links to
+    the other side's sentinel with ``low`` at that minimum. A search that
+    jumps through it takes both, so it stops in the same round, with the
+    minimum it has passed; no round does extra work for it.
     """
     act = np.flatnonzero(birth[link] < thr)
     for _ in range(rounds):
@@ -327,6 +342,15 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     between peaks and minima: the valley between two neighbouring peaks is
     read at the one minimum between them, the rightmost of equal lowest
     values. Deaths are read from the input, never computed.
+
+    A search ends at the first valley between two of its row's peaks that
+    equals the row minimum, and reports an elder with that saddle. Both
+    saddles of a peak are at least the minimum and its death is the higher
+    one, so the death is the same as the full search's: the other side's
+    saddle, or the minimum where the other side has no elder. In a row that
+    holds a -0.0 the searches run to the end, so that each zero death keeps
+    the sign the full search reads; jumping and binary lifting can read
+    different zeros of one span.
     """
     b, q = rows.shape
     # Extrema of the total order (-value, position): a position rises when it
@@ -365,6 +389,18 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     link = np.concatenate((np.where(first, n, index - 1), [n],
                            np.where(last, 2 * n + 1, index + n + 2), [2 * n + 1]))
     low = np.concatenate(([np.inf], valley[:-1], [np.inf], valley, [np.inf]))
+    # A search whose first valley is at the row minimum stops (see above):
+    # it points at the other side's sentinel, which ends it and every search
+    # that jumps through it. Valleys read across a row end never count.
+    row_min = rows.min(axis=1)
+    floor = row_min[row]
+    stop = ~last & (valley == floor)
+    signed = row_min <= 0  # only a row that reaches zero can hold a -0.0
+    if signed.any():
+        signed &= ((rows == 0) & np.signbit(rows)).any(axis=1)
+        stop &= ~signed[row]
+    link[1:n][stop[:-1]] = 2 * n + 1
+    link[n + 1:-1][stop] = n
     birth = np.append(flat[at], np.inf)
     # The order of heights as thresholds: a peak of birth b is lower than a
     # value x >= b on its left, x > b (x >= nextafter(b, +inf)) on its right;
@@ -374,7 +410,7 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     # A V-shaped row needs one round per peak of one arm, so the rounds are
     # capped and the peaks still searching finish by binary lifting.
     rest = _jump(np.tile(birth, 2), link, low, thr, 3 * (q + 2).bit_length())
-    has_left, has_right = link[:n] < n, link[n + 1:-1] < 2 * n + 1
+    has_left, has_right = link[:n] != n, link[n + 1:-1] != 2 * n + 1
     left_min, right_min = low[:n], low[n + 1:-1]
     birth = birth[:-1]
     if rest.size:
@@ -383,7 +419,7 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
             rows, row[rest], pos[rest], thr[rest], thr[rest + n + 1])
     death = np.where(has_left & has_right, np.maximum(left_min, right_min),
                      np.where(has_left, left_min,
-                              np.where(has_right, right_min, rows.min(axis=1)[row])))
+                              np.where(has_right, right_min, floor)))
     pers = birth - death
     alive = pers > 0.0
     return row[alive], pos[alive], pers[alive], death[alive]
@@ -406,14 +442,12 @@ def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
     the block's sequence of peaks: :func:`_jump` follows links to ever
     farther peaks for at most ``3 * (q + 2).bit_length()`` rounds, and the
     peaks still searching finish by binary lifting (:func:`_lift`), so the
-    work per block is bounded and the range tables are built only then.
-    Each block of rows is paired once; only the selection runs once per k.
-
-    The selection needs no ranking of the peaks, only each row's cut value:
-    the persistence t of rank keep = ceil(k% of m) from the top, read from
-    the row's persistences sorted in one small zero-padded table. A row
-    keeps every peak with persistence > t and, of those equal to t, the
-    leftmost keep - #(> t); a row without a peak keeps nothing.
+    work per block is bounded and the range tables are built only then. A
+    search ends early at the first valley at its row's minimum, which on a
+    zero floor is mostly the first valley, so V-shaped rows that touch their
+    minimum between the arms no longer reach the cap; rows holding a -0.0
+    search to the end. Each block of rows is paired once; only the
+    selection (:func:`_select`) runs once per k.
     """
     rows = np.asarray(rows, dtype=np.float64)
     ks = tuple(map(_check_k, ks))
@@ -422,30 +456,44 @@ def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
     flats = tuple(out.reshape(-1) for out in outs)
     for s in range(0, rows.shape[0], _BLOCK):
         block = rows[s:s + _BLOCK]
-        b = block.shape[0]
         row, pos, pers, _ = _pair_block(block)
-        counts = np.bincount(row, minlength=b)
-        first = np.cumsum(counts) - counts  # index of each row's first peak
-        # Every persistence is > 0, so the pads sort first, and each row has
-        # at least one: column -0 is a pad, the cut of a row that keeps none.
-        table = np.zeros((b, counts.max(initial=0) + 1))
-        table[row, np.arange(row.size) - np.repeat(first, counts)] = pers
-        table.sort(axis=1)
         at = (s + row) * q + pos
-        for k, flat in zip(ks, flats):
-            keep = np.ceil(k * counts / 100.0).astype(np.intp)
-            cut = np.repeat(table[np.arange(b), -keep], counts)
-            cand = np.flatnonzero(pers >= cut)  # still by row, then by position
-            crow = row[cand]
-            tied = pers[cand] == cut[cand]
-            per_row = np.bincount(crow, minlength=b)
-            # each tie's rank among its row's ties, from 1 in position order
-            tie_rank = np.cumsum(tied)
-            tie_rank -= np.append(0, tie_rank)[np.cumsum(per_row) - per_row][crow]
-            room = keep - per_row + np.bincount(crow[tied], minlength=b)  # keep - #(> t)
-            cand = cand[~tied | (tie_rank <= room[crow])]
-            flat[at[cand]] = pers[cand]
+        for kept, flat in zip(_select(row, pers, block.shape[0], ks), flats):
+            flat[at[kept]] = pers[kept]
     return outs
+
+
+def _select(row: np.ndarray, pers: np.ndarray, b: int, ks: tuple) -> list[np.ndarray]:
+    """Indices of the top-k% peaks of a block of b rows, one ascending array per k.
+
+    ``row`` and ``pers`` are :func:`_pair_block`'s, and each k is checked.
+    The selection needs no ranking of the peaks, only each row's cut value:
+    the persistence t of rank keep = ceil(k% of m) from the top, read from
+    the row's persistences sorted in one small zero-padded table. A row
+    keeps every peak with persistence > t and, of those equal to t, the
+    leftmost keep - #(> t); a row without a peak keeps nothing.
+    """
+    counts = np.bincount(row, minlength=b)
+    first = np.cumsum(counts) - counts  # index of each row's first peak
+    # Every persistence is > 0, so the pads sort first, and each row has
+    # at least one: column -0 is a pad, the cut of a row that keeps none.
+    table = np.zeros((b, counts.max(initial=0) + 1))
+    table[row, np.arange(row.size) - np.repeat(first, counts)] = pers
+    table.sort(axis=1)
+    kept = []
+    for k in ks:
+        keep = np.ceil(k * counts / 100.0).astype(np.intp)
+        cut = np.repeat(table[np.arange(b), -keep], counts)
+        cand = np.flatnonzero(pers >= cut)  # still by row, then by position
+        crow = row[cand]
+        tied = pers[cand] == cut[cand]
+        per_row = np.bincount(crow, minlength=b)
+        # each tie's rank among its row's ties, from 1 in position order
+        tie_rank = np.cumsum(tied)
+        tie_rank -= np.append(0, tie_rank)[np.cumsum(per_row) - per_row][crow]
+        room = keep - per_row + np.bincount(crow[tied], minlength=b)  # keep - #(> t)
+        kept.append(cand[~tied | (tie_rank <= room[crow])])
+    return kept
 
 
 def write_triples_csv(triples, mz: np.ndarray, path) -> None:

@@ -21,7 +21,7 @@ MZ_RANGE = (500.0, 2000.0)  # the m/z axis spans this range
 PEAK_SIGMA = 2.0  # Gaussian peak width, in axis steps
 _EDGE = 15  # keep peaks this many axis steps away from the axis ends
 _GAP = 10  # minimum distance between peak positions, in axis steps
-_BENCH_REPEATS = 3  # bench_denoise averages this many calls per size
+_BENCH_ROUNDS = 7  # bench_denoise reports the median of this many calls per size
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,11 @@ def bench_denoise(sizes, noise: NoiseModel, k=25.0, *, baseline: float = 0.0,
                   seed: int = 1234) -> list[BenchResult]:
     """Wall-clock denoising time per image size, one row per size.
 
-    Each size's time is the mean of three ``denoise`` calls, one per round
+    Each size's time is the median of seven ``denoise`` calls, one per round
     over all sizes, each on a freshly simulated noisy image. A shared
-    machine's throughput drifts over seconds; every size then averages over
-    the same spells, so the drift cancels from the ratios between sizes.
+    machine's throughput drifts over seconds; every size then samples the
+    same spells, so the drift cancels from the ratios between sizes, and
+    the median ignores a call that a stall slowed.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
@@ -268,12 +269,13 @@ def bench_denoise(sizes, noise: NoiseModel, k=25.0, *, baseline: float = 0.0,
     k = _check_k(k)
     specs = [SimulationSpec(size=size, baseline=baseline, n_mz=n_mz,
                             n_peaks=n_peaks, seed=seed) for size in sizes]
-    mean = [0.0] * len(specs)
-    for _ in range(_BENCH_REPEATS):
+    times = np.empty((_BENCH_ROUNDS, len(specs)))
+    for r in range(_BENCH_ROUNDS):
         for i, spec in enumerate(specs):
             noisy = add_noise(generate_ground_truth(spec)[0], noise)
             t0 = time.perf_counter()
             denoise(noisy, k)
-            mean[i] += (time.perf_counter() - t0) / _BENCH_REPEATS
+            times[r, i] = time.perf_counter() - t0
+    median = np.median(times, axis=0).tolist()
     return [BenchResult(size, size * size, dt, dt / (size * size))
-            for size, dt in zip(sizes, mean)]
+            for size, dt in zip(sizes, median)]

@@ -231,6 +231,23 @@ class TestTransformCommand:
                     got, want = files[name].read_bytes(), files[f"want_{name}"].read_bytes()
                     assert got == want, (name, k, values.tolist())
 
+    def test_pairs_the_spectrum_once(self, tmp_path, monkeypatch):
+        # the triples, the diagram and the top-k% peaks share one pairing
+        calls = []
+        pair = persistence._pair_block
+
+        def spy(rows):
+            calls.append(rows.shape)
+            return pair(rows)
+
+        monkeypatch.setattr(persistence, "_pair_block", spy)
+        spectrum = write_spectrum(tmp_path / "s.csv")
+        for flags in (["--diagram", str(tmp_path / "d.csv")], ["--reduced"], []):
+            calls.clear()
+            assert main(["transform", "--in", spectrum, "--out", str(tmp_path / "o.csv"),
+                         "--k", "50", *flags]) == 0
+            assert calls == [(1, 5)], flags
+
     @pytest.mark.parametrize("rows", ["7,2.5\n", "1,3\n2,3\n3,3\n"])
     def test_spectrum_without_peaks_writes_only_the_header(self, tmp_path, rows):
         spectrum = write_spectrum(tmp_path / "s.csv", rows)

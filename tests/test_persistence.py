@@ -459,10 +459,13 @@ class TestPairBlock:
             assert np.array_equal(g, e), rows
 
     @staticmethod
-    def _v_rows(m, b=3):
-        """Rows of m peaks on a zero floor whose heights fall then rise again:
-        each arm's elders lie beyond the other arm's peaks, one jump apiece."""
-        rows = np.zeros((b, 2 * m + 1))
+    def _v_rows(m, b=3, valley=0.5):
+        """Rows of m peaks whose heights fall then rise again: each arm's
+        elders lie beyond the other arm's peaks, one jump apiece. The valleys
+        are at ``valley`` and position 0 at 0, so no valley is at the row
+        minimum unless ``valley`` is 0 (a zero floor), where searches stop."""
+        rows = np.full((b, 2 * m + 1), float(valley))
+        rows[:, 0] = 0.0
         for r in range(b):
             rows[r, 1::2] = np.abs(np.arange(m) - m / 2 + 0.25 * r) + 1.0
         return rows
@@ -601,9 +604,9 @@ class TestPairBlock:
         rng = np.random.default_rng(47)
         v = self._v_rows(200, _BLOCK)
         noise = rng.uniform(0, 9, size=(_BLOCK // 2, v.shape[1]))
-        # on a zero floor every saddle is 0 whichever elder is found; valleys
-        # that deepen away from the centre make it depend on where each
-        # search stops, on the far side of the V too
+        # on even valleys every saddle is the same whichever elder is found;
+        # valleys that deepen away from the centre make it depend on where
+        # each search stops, on the far side of the V too
         uneven = v.copy()
         depth = 0.004 * np.abs(np.arange(0, v.shape[1], 2) - v.shape[1] / 2)
         uneven[:, 0::2] = 0.9 - depth + rng.uniform(0, 0.002, size=uneven[:, 0::2].shape)
@@ -614,6 +617,102 @@ class TestPairBlock:
             for k, got in zip(ks, _topk_vectors(rows, ks)):
                 assert np.array_equal(got, expect[k]), k
             assert len(lifted) == 1 and lifted[0] > 0
+
+    @staticmethod
+    def _forbid_lifting(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("binary lifting ran")
+
+        monkeypatch.setattr(persistence, "_lift", refuse)
+
+    @staticmethod
+    def _assert_deaths(rows, deaths):
+        """The deaths of _pair_block, sign bits included, equal the given list."""
+        got = _pair_block(np.asarray(rows, dtype=np.float64))[3]
+        assert got.view(np.int64).tolist() == np.array(deaths).view(np.int64).tolist(), got
+
+    def test_zero_floor_v_rows_need_no_lifting(self, monkeypatch):
+        # every valley is at the row minimum, so each search stops at its
+        # first valley and no arm reaches the jump cap
+        self._forbid_lifting(monkeypatch)
+        for b in (3, _BLOCK):
+            rows = self._v_rows(200, b, valley=0.0)
+            assert 200 // 2 > 3 * (rows.shape[1] + 2).bit_length()
+            self._assert_matches(rows)
+        # one valley at the minimum, between the arms, is enough
+        rows = self._v_rows(200)
+        rows[:, 200] = 0.0
+        rows[:, 0] = 0.5
+        self._assert_matches(rows)
+
+    def test_stop_on_zero_floors(self):
+        # clamped Gaussian noise, Poisson counts and integer plateaus put
+        # many valleys at the row minimum
+        rng = np.random.default_rng(49)
+        for q in (2, 5, 40, 400, 3466):
+            self._assert_matches(np.maximum(rng.normal(size=(_BLOCK, q)), 0.0))
+            self._assert_matches(rng.poisson(1.0, size=(_BLOCK, q)).astype(float))
+            self._assert_matches(rng.integers(0, 3, size=(_BLOCK, q)))
+            self._assert_matches(np.array([np.repeat(rng.integers(0, 3, size=q),
+                                                     rng.integers(1, 5, size=q))[:q]
+                                           for _ in range(_BLOCK)]))
+
+    def test_stop_where_the_minimum_is_rare(self):
+        rng = np.random.default_rng(50)
+        for q in (3, 4, 9, 60, 500):
+            rows = rng.uniform(1, 9, size=(_BLOCK, q))
+            rows[0, q // 2] = 0.0  # once, in a valley
+            rows[1, 0] = 0.0  # only at the left end
+            rows[2, -1] = 0.0  # only at the right end
+            rows[3, [0, -1]] = 0.0  # only at both ends
+            rows[4, [q // 3, 2 * q // 3]] = -1.0  # twice
+            rows[5, 1] = 0.0  # next to the left end
+            rows[6, -2] = 0.0  # next to the right end
+            self._assert_matches(rows)
+            for row in rows:
+                self._assert_matches(row[None, :])
+
+    def test_row_end_valleys_never_stop_a_search(self):
+        # The valley after a row's last peak is read across the row end.
+        # Here it equals the next row's minimum, where only the sign of the
+        # next row's global death would tell, or its own row's minimum,
+        # where the next row's global death would change. Deaths and their
+        # sign bits as the full search reads them.
+        rows = [[1, 3, 2, -0.0, -0.0], [0.0, 5, 1, 2, 0.0]]
+        self._assert_matches(rows)
+        self._assert_deaths(rows, [-0.0, 0.0, 1.0])
+        rows = [[3, 1, 1], [0, 5, 0]]
+        self._assert_matches(rows)
+        self._assert_deaths(rows, [1.0, 0.0])
+
+    def test_signed_zero_deaths(self):
+        # Rows holding 0.0 and -0.0 search to the end: every death keeps
+        # the sign bit that the full search reads, with the row minimum at
+        # zero and below it.
+        rows = [[0.0, 2, -0.0, 1, 0.0, 3, -0.0, 0.0, 2, 0.0, 1, -0.0],
+                [-0.0, 4, 0.0, 0.0, 3, -0.0, 5, 0.0, -0.0, 5, 0.0, 1]]
+        self._assert_matches(rows)
+        self._assert_deaths(rows, [0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0])
+        rows = [[1, -0.0, 2, -1, 3, 0.0, -0.0, 2, 0.0, 4, -0.0, 1],
+                [0.0, 3, -0.0, 2, -2, 2, 0.0, 4, -0.0, 0.0, 1, -2]]
+        self._assert_matches(rows)
+        self._assert_deaths(rows, [-0.0, -1.0, 0.0, 0.0, -1.0, -0.0, -2.0, -0.0, 0.0, -2.0, 0.0])
+        # A V of 50 peaks whose arms outlast the jump cap, with runs of
+        # signed zeros between peaks and one valley at -1, the minimum.
+        # Binary lifting and jumping can read different zeros; were the
+        # searches through -1 to stop, the peak at 9 would die at -0.0.
+        row = []
+        for i in range(50):
+            row.append(abs(i - 25) + 1.0)
+            row += [-0.0 if (2 * i + j) % 3 == 0 else 0.0 for j in range(1 + i % 3)]
+        row = np.array(row)
+        row[np.flatnonzero(row == 0)[16]] = -1.0
+        assert 25 > 3 * (row.size + 2).bit_length()
+        self._assert_matches(row[None, :])
+        deaths = np.full(50, -0.0)
+        deaths[[0, 49]] = -1.0
+        deaths[3] = 0.0
+        self._assert_deaths(row[None, :], deaths)
 
     def test_random_rows_need_no_lifting(self, monkeypatch):
         def refuse(*args):
