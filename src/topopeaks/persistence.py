@@ -13,16 +13,19 @@ Three independent routes compute the same pairing. One serves production:
 * :func:`_pair_block` finds the peaks, and the valley minima between
   neighbouring peaks, in one pass over each row's extrema, then each peak's
   nearest elder and saddle by pointer jumping over the sequence of peaks,
-  for a block of rows at once, and returns the peaks in position order. A
+  for a block of rows at once, and returns the peaks in position order.
+  Only the search of the higher of two neighbouring peaks moves past the
+  valley between them, so only those searches are set up to jump. A
   search ends at the first valley at its row's minimum, which cannot change
   a death; rows holding a -0.0 search to the end, so zero deaths keep
   their sign.
   :func:`transform` sorts its triples from a block of one row, so every
   persistence diagram runs it; :func:`_select` picks the top-k% peaks
   from its arrays, for several k from one pairing, by each row's cut value
-  rather than by a sort. :func:`_topk_vectors` scatters them into the
-  persistence vectors of ``build_matrix`` and ``denoise``, and ``transform
-  --k`` keeps them from the pairing that gave its triples.
+  rather than by a sort, each smaller k among the larger k's kept peaks.
+  :func:`_topk_vectors` scatters them into the persistence vectors of
+  ``build_matrix`` and ``denoise``, and ``transform --k`` keeps them from
+  the pairing that gave its triples.
 
 Two are references that no command runs:
 
@@ -254,24 +257,20 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
 _BLOCK = 8  # rows per kernel pass, and per simulate_means block; larger were no faster
 
 
-def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, thr: np.ndarray,
-          rounds: int) -> np.ndarray:
+def _jump(height: np.ndarray, link: np.ndarray, low: np.ndarray, act: np.ndarray,
+          thr: np.ndarray, rounds: int) -> np.ndarray:
     """Pointer jumping (Wyllie 1979) towards each search's nearest elder.
 
     Entry i is one peak's search on one side. ``link[i]`` is a peak on that
-    side, or a sentinel (birth +inf, linked to itself); no peak strictly
+    side, or a sentinel (height +inf, linked to itself); no peak strictly
     between them is an elder, and ``low[i]`` is the minimum of the values
-    between them. While ``birth[link[i]] < thr[i]``, the link is lower than
-    the peak too: entry i takes its link's link and the lower of the two
-    minima. Runs at most ``rounds`` rounds, in place, and returns the
-    entries still searching.
-
-    A search that :func:`_pair_block` stopped at its row's minimum links to
-    the other side's sentinel with ``low`` at that minimum. A search that
-    jumps through it takes both, so it stops in the same round, with the
-    minimum it has passed; no round does extra work for it.
+    between them, -inf once the search has passed its row's end. ``act``
+    lists the entries still searching and ``thr`` their thresholds: while
+    ``height[link[i]] < thr``, the link is lower than the peak too, and
+    entry i takes its link's link and the lower of the two minima. Runs at
+    most ``rounds`` rounds, in place, and returns the entries still
+    searching.
     """
-    act = np.flatnonzero(birth[link] < thr)
     for _ in range(rounds):
         if not act.size:
             break
@@ -279,19 +278,19 @@ def _jump(birth: np.ndarray, link: np.ndarray, low: np.ndarray, thr: np.ndarray,
         low[act] = np.minimum(low[act], low[nxt])
         nxt = link[nxt]
         link[act] = nxt
-        act = act[birth[nxt] < thr[act]]
+        go = height[nxt] < thr
+        act, thr = act[go], thr[go]
     return act
 
 
-def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarray,
-          right_thr: np.ndarray):
+def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, birth: np.ndarray):
     """Nearest elder on each side of the given peaks by binary lifting.
 
-    A value is lower than the peak while under ``left_thr`` on the left and
-    ``right_thr`` on the right, as in :func:`_jump`. Returns ``(has_left,
-    left_min, has_right, right_min)``: whether the peak has an elder on that
-    side and the minimum between it and that elder. The range tables span
-    the whole block, so this runs only for the peaks :func:`_jump` leaves.
+    A value is lower than a peak of birth b while it is < b on the left and
+    <= b on the right, as in :func:`_jump`. Returns ``(left_min,
+    right_min)``: the minimum between the peak and its elder on that side,
+    -inf where the side has no elder. The range tables span the whole
+    block, so this runs only for the peaks :func:`_jump` leaves.
     """
     b, q = rows.shape
     # Each row padded with +inf at both ends: a window that reaches past the
@@ -316,8 +315,8 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarr
     row_at = row * width  # flat index where each peak's padded row starts
 
     # Take every window, longest first, that holds no elder: every value
-    # under the side's threshold. The taken windows tile the span to the
-    # elder, so the minimum of their range-minima is the saddle on that side.
+    # lower than the peak. The taken windows tile the span to the elder, so
+    # the minimum of their range-minima is the saddle on that side.
     left = row_at + pos + 1  # the left windows end here, at the peak
     right = left + 1  # and the right ones start here
     left_min = np.full(pos.size, np.inf)
@@ -325,13 +324,15 @@ def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, left_thr: np.ndarr
     for level in range(levels - 1, -1, -1):
         w = 1 << level
         at = np.maximum(left - w, row_at)
-        take = hi[level, at] < left_thr
+        take = hi[level, at] < birth
         left_min = np.where(take, np.minimum(left_min, lo[level, at]), left_min)
         left -= take * w
-        take = hi[level, right] < right_thr
+        take = hi[level, right] <= birth
         right_min = np.where(take, np.minimum(right_min, lo[level, right]), right_min)
         right += take * w
-    return left - row_at > 1, left_min, right - row_at < q + 1, right_min
+    left_min[left - row_at == 1] = -np.inf  # reached the row start
+    right_min[right - row_at == q + 1] = -np.inf  # reached the row end
+    return left_min, right_min
 
 
 def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -343,14 +344,20 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     read at the one minimum between them, the rightmost of equal lowest
     values. Deaths are read from the input, never computed.
 
-    A search ends at the first valley between two of its row's peaks that
-    equals the row minimum, and reports an elder with that saddle. Both
-    saddles of a peak are at least the minimum and its death is the higher
-    one, so the death is the same as the full search's: the other side's
-    saddle, or the minimum where the other side has no elder. In a row that
-    holds a -0.0 the searches run to the end, so that each zero death keeps
-    the sign the full search reads; jumping and binary lifting can read
-    different zeros of one span.
+    Of two neighbouring peaks, the higher one is the lower one's nearest
+    elder on that side, so only the higher one's search goes on past the
+    valley between them: only those searches get a threshold and enter
+    :func:`_jump`. A search that reaches its row's end carries a -inf
+    valley, so a peak's death is the higher of its two searches' minima;
+    where both are -inf, at a row's top peak, the row minimum is written in
+    through a mask, as taking the maximum with it could flip a zero's sign.
+
+    A search also ends at the first valley between two of its row's peaks
+    that equals the row minimum. Both saddles of a peak are at least the
+    minimum and its death is the higher one, so the death is the same as
+    the full search's. In a row that holds a -0.0 the searches run to the
+    end, so that each zero death keeps the sign the full search reads;
+    jumping and binary lifting can read different zeros of one span.
     """
     b, q = rows.shape
     # Extrema of the total order (-value, position): a position rises when it
@@ -369,60 +376,79 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     ext = np.flatnonzero(turn)
     peak = np.flatnonzero(rise.ravel()[ext])
     at = ext[peak]
-    row, pos = divmod(at, q)
     flat = rows.ravel()
-    n = pos.size
+    birth = flat[at]
+    n = at.size
     # valley[i]: the minimum between peak i and peak i + 1. Within a row
     # peaks and minima alternate; the values never rise from a peak to the
     # next extremum and strictly rise from it to the next peak, so that
     # extremum holds the minimum (the rightmost of equal lowest values).
-    # Across a row end it is never read; the block's last extremum may be a
-    # peak, so its index is clamped.
-    valley = flat[ext[np.minimum(peak + 1, ext.size - 1)]]
-
-    # One search per peak and side: entries 0..n-1 look left, n+1..2n right.
-    # Links start at the neighbouring peak, or at the row end's sentinel, n or 2n+1.
-    first = np.ones(n, dtype=bool)
-    first[1:] = row[1:] != row[:-1]
-    last = np.append(first[1:], True)
-    index = np.arange(n)
-    link = np.concatenate((np.where(first, n, index - 1), [n],
-                           np.where(last, 2 * n + 1, index + n + 2), [2 * n + 1]))
-    low = np.concatenate(([np.inf], valley[:-1], [np.inf], valley, [np.inf]))
-    # A search whose first valley is at the row minimum stops (see above):
-    # it points at the other side's sentinel, which ends it and every search
-    # that jumps through it. Valleys read across a row end never count.
+    # Across a row end it is -inf: the search has no elder there.
+    valley = np.empty(n)
+    valley[:-1] = flat[ext[peak[:-1] + 1]]
+    valley[-1] = -np.inf
     row_min = rows.min(axis=1)
-    floor = row_min[row]
-    stop = ~last & (valley == floor)
-    signed = row_min <= 0  # only a row that reaches zero can hold a -0.0
-    if signed.any():
-        signed &= ((rows == 0) & np.signbit(rows)).any(axis=1)
-        stop &= ~signed[row]
-    link[1:n][stop[:-1]] = 2 * n + 1
-    link[n + 1:-1][stop] = n
-    birth = np.append(flat[at], np.inf)
-    # The order of heights as thresholds: a peak of birth b is lower than a
-    # value x >= b on its left, x > b (x >= nextafter(b, +inf)) on its right;
-    # for the largest finite b that is +inf, and every finite x <= b is below it.
-    with np.errstate(over="ignore"):
-        thr = np.concatenate((birth, np.nextafter(birth, np.inf)))
+    # A row that holds a -0.0 searches to the end (see above). Without
+    # negative values, a -0.0 is the only value whose sign bit is set.
+    bits = rows.view(np.int64)
+    negative = row_min.min() < 0
+    signed = (bits == np.iinfo(np.int64).min).any(axis=1) if negative else bits.min(axis=1) < 0
+    clear = not (negative or signed.any())  # no value has its sign bit set
+    stop = np.where(signed, -np.inf, row_min)  # searches end at a valley this low
+    ends = np.arange(0, b * q + 1, q)  # flat index of each row's start, and the block's end
+    if b > 1:
+        first = np.searchsorted(at, ends)  # each row's first peak, and n
+        valley[first[1:-1] - 1] = -np.inf
+    # A valley above its row's stop is open: the searches across it go on.
+    # One row, or rows that share their stop, compare with a scalar.
+    if stop.min() == stop.max():
+        stop = stop[0]
+    else:
+        stop = np.repeat(stop, first[1:] - first[:-1])[:-1]
+    gap = np.flatnonzero(valley[:-1] > stop)
+
+    # One search per peak and side: entries 0..n-1 look left, n+1..2n right;
+    # n and 2n+1 are sentinels. A search links to its neighbouring peak
+    # across an open valley, else to its side's sentinel, which ends it and
+    # every search that jumps through it.
+    link = np.empty(2 * n + 2, dtype=np.intp)
+    link[:n + 1] = n
+    link[n + 1:] = 2 * n + 1
+    link[gap + 1] = gap
+    link[gap + n + 1] = gap + n + 2
+    low = np.concatenate(([-np.inf], valley[:-1], [np.inf], valley, [np.inf]))
+    height = np.concatenate((birth, [np.inf], birth, [np.inf]))
+    # The order of heights: a peak of birth b is lower than its left
+    # neighbour while < b, than its right one while <= b. Of two neighbours
+    # across an open valley, the lower one has found its elder; the higher
+    # one searches on past it, with threshold b on the left and nextafter(b,
+    # +inf) on the right for _jump's "<" (+inf for the largest finite b).
+    left, right = birth[gap], birth[gap + 1]
+    up = left < right
+    act = gap + np.where(up, 1, n + 1)
+    if clear:  # the next float up has the next bit pattern, +inf's after the largest
+        after = (left.view(np.int64) + 1).view(np.float64)
+    else:
+        with np.errstate(over="ignore"):
+            after = np.nextafter(left, np.inf)
+    thr = np.where(up, right, after)
     # A V-shaped row needs one round per peak of one arm, so the rounds are
     # capped and the peaks still searching finish by binary lifting.
-    rest = _jump(np.tile(birth, 2), link, low, thr, 3 * (q + 2).bit_length())
-    has_left, has_right = link[:n] != n, link[n + 1:-1] != 2 * n + 1
-    left_min, right_min = low[:n], low[n + 1:-1]
-    birth = birth[:-1]
+    rest = _jump(height, link, low, act, thr, 3 * (q + 2).bit_length())
     if rest.size:
         rest = np.unique(rest % (n + 1))
-        has_left[rest], left_min[rest], has_right[rest], right_min[rest] = _lift(
-            rows, row[rest], pos[rest], thr[rest], thr[rest + n + 1])
-    death = np.where(has_left & has_right, np.maximum(left_min, right_min),
-                     np.where(has_left, left_min,
-                              np.where(has_right, right_min, floor)))
+        low[rest], low[rest + n + 1] = _lift(rows, *divmod(at[rest], q), birth[rest])
+    death = np.maximum(low[:n], low[n + 1:-1])
+    top = np.flatnonzero(death == -np.inf)  # no elder on either side, nor a stop
+    death[top] = row_min[at[top] // q]
     pers = birth - death
     alive = pers > 0.0
-    return row[alive], pos[alive], pers[alive], death[alive]
+    at, pers, death = at[alive], pers[alive], death[alive]
+    if b == 1:
+        return np.zeros(at.size, dtype=at.dtype), at, pers, death
+    first = np.searchsorted(at, ends)
+    row = np.repeat(np.arange(b), first[1:] - first[:-1])
+    return row, at - row * q, pers, death
 
 
 def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
@@ -438,16 +464,18 @@ def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
     The order of heights (taller, or as tall and further left) is one
     threshold per search: a value x is lower than a peak of birth b while
     x < b on the left, and while x < nextafter(b, +inf), that is x <= b for
-    finite values, on the right. Both elders are peaks, so each search walks
-    the block's sequence of peaks: :func:`_jump` follows links to ever
-    farther peaks for at most ``3 * (q + 2).bit_length()`` rounds, and the
-    peaks still searching finish by binary lifting (:func:`_lift`), so the
-    work per block is bounded and the range tables are built only then. A
-    search ends early at the first valley at its row's minimum, which on a
-    zero floor is mostly the first valley, so V-shaped rows that touch their
-    minimum between the arms no longer reach the cap; rows holding a -0.0
-    search to the end. Each block of rows is paired once; only the
-    selection (:func:`_select`) runs once per k.
+    finite values, on the right. Only a search whose neighbouring peak is
+    lower gets one; the others have found their elder. Both elders are
+    peaks, so each search walks the block's sequence of peaks: :func:`_jump`
+    follows links to ever farther peaks for at most ``3 * (q +
+    2).bit_length()`` rounds, and the peaks still searching finish by
+    binary lifting (:func:`_lift`), so the work per block is bounded and the
+    range tables are built only then. A search ends early at the first
+    valley at its row's minimum, which on a zero floor is mostly the first
+    valley, so V-shaped rows that touch their minimum between the arms no
+    longer reach the cap; rows holding a -0.0 search to the end. Each block
+    of rows is paired once; only the selection (:func:`_select`) runs once
+    per k, each smaller k among the next larger k's kept peaks.
     """
     rows = np.asarray(rows, dtype=np.float64)
     ks = tuple(map(_check_k, ks))
@@ -471,29 +499,43 @@ def _select(row: np.ndarray, pers: np.ndarray, b: int, ks: tuple) -> list[np.nda
     the persistence t of rank keep = ceil(k% of m) from the top, read from
     the row's persistences sorted in one small zero-padded table. A row
     keeps every peak with persistence > t and, of those equal to t, the
-    leftmost keep - #(> t); a row without a peak keeps nothing.
+    leftmost keep - #(> t); a row without a peak keeps nothing. Where no
+    row's cut falls inside a run of equal persistences, the peaks at or
+    above the cuts are exactly the kept ones. Selections are nested, so
+    each smaller k is searched for among the next larger k's kept peaks.
     """
-    counts = np.bincount(row, minlength=b)
-    first = np.cumsum(counts) - counts  # index of each row's first peak
-    # Every persistence is > 0, so the pads sort first, and each row has
-    # at least one: column -0 is a pad, the cut of a row that keeps none.
-    table = np.zeros((b, counts.max(initial=0) + 1))
-    table[row, np.arange(row.size) - np.repeat(first, counts)] = pers
+    counts = np.diff(np.searchsorted(row, np.arange(b + 1)))  # peaks per row
+    width = counts.max(initial=0) + 1
+    # Each row's persistences fill the first columns of its table row, in
+    # one put in row-major order. Every persistence is > 0, so the pads
+    # sort first, and each row has at least one: column -0 is a pad, the
+    # cut of a row that keeps none.
+    table = np.zeros((b, width))
+    table[np.arange(width) < counts[:, None]] = pers
     table.sort(axis=1)
-    kept = []
-    for k in ks:
+    kept = {}
+    cand = None
+    for k in sorted(set(ks), reverse=True):
         keep = np.ceil(k * counts / 100.0).astype(np.intp)
-        cut = np.repeat(table[np.arange(b), -keep], counts)
-        cand = np.flatnonzero(pers >= cut)  # still by row, then by position
-        crow = row[cand]
-        tied = pers[cand] == cut[cand]
-        per_row = np.bincount(crow, minlength=b)
-        # each tie's rank among its row's ties, from 1 in position order
-        tie_rank = np.cumsum(tied)
-        tie_rank -= np.append(0, tie_rank)[np.cumsum(per_row) - per_row][crow]
-        room = keep - per_row + np.bincount(crow[tied], minlength=b)  # keep - #(> t)
-        kept.append(cand[~tied | (tie_rank <= room[crow])])
-    return kept
+        cut = table[np.arange(b), -keep]
+        # the peaks at or above their row's cut, still by row, then by position
+        if cand is None:
+            cand = np.flatnonzero(pers >= np.repeat(cut, counts))
+        else:
+            cand = cand[pers[cand] >= cut[row[cand]]]
+        # every row holds at least keep of them, and exactly keep unless
+        # its cut falls inside a tie
+        if cand.size != keep.sum():
+            crow = row[cand]
+            tied = pers[cand] == cut[crow]
+            per_row = np.bincount(crow, minlength=b)
+            # each tie's rank among its row's ties, from 1 in position order
+            tie_rank = np.cumsum(tied)
+            tie_rank -= np.append(0, tie_rank)[np.cumsum(per_row) - per_row][crow]
+            room = keep - per_row + np.bincount(crow[tied], minlength=b)  # keep - #(> t)
+            cand = cand[~tied | (tie_rank <= room[crow])]
+        kept[k] = cand
+    return [kept[k] for k in ks]
 
 
 def write_triples_csv(triples, mz: np.ndarray, path) -> None:

@@ -166,7 +166,8 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
     but the pixels stream through in the pairing kernel's blocks of
     ``_BLOCK`` rows: a block is made, noised, paired in one kernel pass for
     all of ``ks`` (not at all when it is empty) and reduced to its row
-    means, so memory does not grow with the image.
+    sums, so memory does not grow with the image; the sums become means
+    at the end.
     """
     ks = tuple(map(_check_k, ks))
     _, _, truth = _simulation(spec)
@@ -180,7 +181,8 @@ def simulate_means(spec: SimulationSpec, model: NoiseModel, ks=()) -> tuple[np.n
         _check_finite_nonnegative(noisy, "intensities")
         cleaned = _topk_vectors(noisy, ks) if ks else ()
         for grid, block in zip(means[:, s:e], (rows, noisy, *cleaned)):
-            grid[:] = block.mean(axis=1)
+            np.add.reduce(block, axis=1, out=grid)
+    means /= spec.n_mz  # numpy's mean is this sum over the count
     return tuple(grid.reshape(spec.size, spec.size) for grid in means)
 
 

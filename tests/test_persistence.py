@@ -9,6 +9,7 @@ near-degenerate saddles).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -38,6 +39,9 @@ from topopeaks import (
 )
 from topopeaks import persistence
 from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors, _transform_values
+
+# SHA-256 of _pair_block's arrays on TestPairBlock._sequence_blocks()
+GOLDEN_PAIR_BLOCK_SHA256 = "bc72491c4dd6cec7f85667e12ae604d5f29ddb96f3e86d5bb0142b703dcf56eb"
 
 
 class TestDetectExtrema:
@@ -403,6 +407,47 @@ class TestFilterTopK:
                 assert np.array_equal(matrix, _topk_vectors(rows, (k,))[0]), (q, k)
         assert _topk_vectors(np.zeros((0, 5)), (10.0, 20.0))[1].shape == (0, 5)
 
+    @staticmethod
+    def _rows_cut_in_a_tie(rows, k):
+        """The rows of a block whose cut at k falls inside a tie."""
+        return [i for i, row in enumerate(rows) if TestFilterTopK._cut_in_a_tie(row[None, :], k)]
+
+    @staticmethod
+    def _zero_floor_rows(heights):
+        """One row per list of heights: peaks on a zero floor, so each
+        peak's persistence is its height; no heights make a constant row."""
+        q = 2 * max(map(len, heights)) + 1
+        rows = np.zeros((len(heights), q))
+        for row, h in zip(rows, heights):
+            row[1:2 * len(h):2] = h
+        return rows
+
+    def _assert_every_k_order(self, rows, ks):
+        expect = self._reference(rows, ks)
+        for order in (sorted(ks), sorted(ks, reverse=True), ks + ks[::-1]):
+            got = _topk_vectors(rows, tuple(order))
+            assert len(got) == len(order)
+            for k, matrix in zip(order, got):
+                assert np.array_equal(matrix, expect[k]), (order, k)
+
+    def test_cuts_outside_ties(self):
+        # distinct persistences in every row: the peaks at or above each
+        # row's cut are the kept ones, with no tie pass
+        rows = self._zero_floor_rows([[5, 1, 4, 2, 3], [7, 6], [9], [], [2.5, 8, 1.5, 6, 4, 3, 7]])
+        ks = (10.0, 25.0, 50.0, 100.0)
+        for k in ks:
+            assert not self._rows_cut_in_a_tie(rows, k), k
+        self._assert_every_k_order(rows, ks)
+
+    def test_one_row_cut_in_a_tie_at_one_k(self):
+        # the middle row keeps 3 of 6 at k 50: one above the tied three,
+        # then the leftmost two of them; at k 10 its cut is the 5, alone
+        rows = self._zero_floor_rows([[9, 8, 7, 6, 5, 4], [3, 5, 3, 1, 3, 4], [1, 6, 2, 5, 3, 4]])
+        assert self._rows_cut_in_a_tie(rows, 50.0) == [1]
+        assert self._rows_cut_in_a_tie(rows, 10.0) == []
+        self._assert_every_k_order(rows, (10.0, 50.0))
+        self._assert_every_k_order(rows[1:2], (10.0, 50.0))
+
     def test_denoise_matches_composition(self):
         spec = SimulationSpec(size=8, n_mz=300, n_peaks=6, seed=11)
         image, _ = generate_ground_truth(spec)
@@ -557,9 +602,9 @@ class TestPairBlock:
         lows = []
         jump = persistence._jump
 
-        def spy(birth, link, low, thr, rounds):
+        def spy(height, link, low, act, thr, rounds):
             lows.append(low.copy())
-            return jump(birth, link, low, thr, rounds)
+            return jump(height, link, low, act, thr, rounds)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(persistence, "_jump", spy)
@@ -583,9 +628,9 @@ class TestPairBlock:
         lifted = []
         lift = persistence._lift
 
-        def spy(rows, row, pos, left_thr, right_thr):
+        def spy(rows, row, pos, birth):
             lifted.append(pos.size)
-            return lift(rows, row, pos, left_thr, right_thr)
+            return lift(rows, row, pos, birth)
 
         monkeypatch.setattr(persistence, "_lift", spy)
         return lifted
@@ -714,6 +759,63 @@ class TestPairBlock:
         deaths[3] = 0.0
         self._assert_deaths(row[None, :], deaths)
 
+    @staticmethod
+    def _sequence_blocks():
+        """Blocks of 1-8 rows and 1 to about 300 columns from a fixed 64-bit
+        linear congruential sequence, not from numpy.random, so that no change of
+        numpy's generator streams can move them. Runs of levels that mix
+        0.0 and -0.0, with and without negative values; every fifth block
+        holds V rows whose arms can outlast the jump cap, with runs of
+        signed zeros between the peaks and some valleys at -1."""
+        state = 2023
+
+        def draw(m):
+            nonlocal state
+            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            return (state >> 33) % m
+
+        palettes = ((0.0, -0.0, 1.0, 2.0), (0.0, -0.0, 1.0, 2.0, -1.0, -2.0),
+                    (0.0, -0.0, 0.5, 3.0, 3.0), (-0.0, 1.0, 2.0, -3.0))
+        blocks = []
+        for t in range(200):
+            b = 1 + draw(_BLOCK)
+            rows = []
+            if t % 5 == 4:
+                for _ in range(b):
+                    m = 40 + draw(60)
+                    row = []
+                    for i in range(m):
+                        row.append(abs(i - m // 2) + 1.0 + 0.5 * draw(2))
+                        row += [(0.0, -0.0, 0.0, -1.0)[draw(4)] for _ in range(1 + draw(3))]
+                    rows.append(row)
+                q = min(map(len, rows))
+            else:
+                levels = palettes[t % 4]
+                q = 1 + draw(300)
+                for _ in range(b):
+                    row = []
+                    while len(row) < q:
+                        row += [levels[draw(len(levels))]] * (1 + draw(3))
+                    rows.append(row)
+            blocks.append(np.array([row[:q] for row in rows]))
+        return blocks
+
+    def test_golden_digest_with_sign_bits(self, monkeypatch):
+        # np.array_equal cannot see the sign of a zero, and the reference
+        # does not define it; the bytes of all four arrays can. The digest
+        # was recorded before the kernel set up only the searches that move.
+        lifted = self._count_lifts(monkeypatch)
+        digest = hashlib.sha256()
+        zeros = set()
+        for rows in self._sequence_blocks():
+            got = _pair_block(rows)
+            for a in got:
+                digest.update(np.asarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8").tobytes())
+            death = got[3]
+            zeros.update(np.signbit(death[death == 0]).tolist())
+        assert zeros == {False, True} and sum(lifted) > 0
+        assert digest.hexdigest() == GOLDEN_PAIR_BLOCK_SHA256
+
     def test_random_rows_need_no_lifting(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("binary lifting ran")
@@ -727,8 +829,8 @@ class TestPairBlock:
         # cut the jumping short: peaks halfway to their elders finish by lifting
         jump = persistence._jump
 
-        def short(birth, link, low, thr, _):
-            return jump(birth, link, low, thr, rounds)
+        def short(height, link, low, act, thr, _):
+            return jump(height, link, low, act, thr, rounds)
 
         monkeypatch.setattr(persistence, "_jump", short)
         rng = np.random.default_rng(45)
