@@ -17,8 +17,9 @@ Three independent routes compute the same pairing. One serves production:
   Only the search of the higher of two neighbouring peaks moves past the
   valley between them, so only those searches are set up to jump. A
   search ends at the first valley at its row's minimum, which cannot change
-  a death; rows holding a -0.0 search to the end, so zero deaths keep
-  their sign.
+  a death. Rows holding a value with its sign bit set search to the end,
+  and a row's minimum is read at its rightmost lowest value, as the
+  valleys are, so zero deaths carry the same sign on every CPU.
   :func:`transform` sorts its triples from a block of one row, so every
   persistence diagram runs it; :func:`_select` picks the top-k% peaks
   from its arrays, for several k from one pairing, by each row's cut value
@@ -355,9 +356,11 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     A search also ends at the first valley between two of its row's peaks
     that equals the row minimum. Both saddles of a peak are at least the
     minimum and its death is the higher one, so the death is the same as
-    the full search's. In a row that holds a -0.0 the searches run to the
-    end, so that each zero death keeps the sign the full search reads;
-    jumping and binary lifting can read different zeros of one span.
+    the full search's. In a row that holds a value with its sign bit set, a
+    -0.0 or a negative value, the searches run to the end, so that each zero
+    death keeps the sign the full search reads (jumping and binary lifting
+    can read different zeros of one span), and the row minimum is read at
+    its rightmost lowest position.
     """
     b, q = rows.shape
     # Extrema of the total order (-value, position): a position rises when it
@@ -375,80 +378,75 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     turn[:, -1] = True
     ext = np.flatnonzero(turn)
     peak = np.flatnonzero(rise.ravel()[ext])
-    at = ext[peak]
+    at = ext.take(peak)
+    row = at // q
     flat = rows.ravel()
-    birth = flat[at]
+    birth = flat.take(at)
     n = at.size
-    # valley[i]: the minimum between peak i and peak i + 1. Within a row
-    # peaks and minima alternate; the values never rise from a peak to the
-    # next extremum and strictly rise from it to the next peak, so that
-    # extremum holds the minimum (the rightmost of equal lowest values).
-    # Across a row end it is -inf: the search has no elder there.
-    valley = np.empty(n)
-    valley[:-1] = flat[ext[peak[:-1] + 1]]
-    valley[-1] = -np.inf
-    row_min = rows.min(axis=1)
-    # A row that holds a -0.0 searches to the end (see above). Without
-    # negative values, a -0.0 is the only value whose sign bit is set.
-    bits = rows.view(np.int64)
-    negative = row_min.min() < 0
-    signed = (bits == np.iinfo(np.int64).min).any(axis=1) if negative else bits.min(axis=1) < 0
-    clear = not (negative or signed.any())  # no value has its sign bit set
-    stop = np.where(signed, -np.inf, row_min)  # searches end at a valley this low
-    ends = np.arange(0, b * q + 1, q)  # flat index of each row's start, and the block's end
-    if b > 1:
-        first = np.searchsorted(at, ends)  # each row's first peak, and n
-        valley[first[1:-1] - 1] = -np.inf
-    # A valley above its row's stop is open: the searches across it go on.
-    # One row, or rows that share their stop, compare with a scalar.
-    if stop.min() == stop.max():
-        stop = stop[0]
-    else:
-        stop = np.repeat(stop, first[1:] - first[:-1])[:-1]
-    gap = np.flatnonzero(valley[:-1] > stop)
+    # Non-negative floats order as their bit patterns, so a row's least bit
+    # pattern is its minimum unless the row holds a value with its sign bit
+    # set, a -0.0 or a negative value. Such a row searches to the end (see
+    # above), and its minimum is read at its rightmost lowest position, as
+    # the valleys are: which of two zeros rows.min returns depends on the
+    # SIMD lane order. The other rows stop at a valley at their minimum.
+    lowest = rows.view(np.int64).min(axis=1)
+    signed = lowest < 0
+    s = np.flatnonzero(signed)
+    row_min = lowest.view(np.float64)
+    if s.size:
+        row_min[s] = rows[s, q - 1 - rows[s, ::-1].argmin(axis=1)]
+    stop = np.where(signed, -np.inf, row_min)
 
     # One search per peak and side: entries 0..n-1 look left, n+1..2n right;
-    # n and 2n+1 are sentinels. A search links to its neighbouring peak
-    # across an open valley, else to its side's sentinel, which ends it and
-    # every search that jumps through it.
+    # n and 2n+1 are sentinels. low[i] is the first valley that search i
+    # crosses. valley[i] is the minimum between peak i and peak i + 1: within
+    # a row peaks and minima alternate, the values never rise from a peak to
+    # the next extremum and strictly rise from it to the next peak, so that
+    # extremum holds the minimum (the rightmost of equal lowest values).
+    # Across a row end it is -inf: the search has no elder there.
+    low = np.empty(2 * n + 2)
+    valley = low[n + 1:-1]
+    valley[:-1] = flat.take(ext[1:].take(peak[:-1]))
+    valley[:-1][row[1:] != row[:-1]] = -np.inf
+    valley[-1] = -np.inf
+    low[0], low[n], low[-1] = -np.inf, np.inf, np.inf
+    low[1:n] = valley[:-1]
+    # A valley above its row's stop is open. A search links to its
+    # neighbouring peak across an open valley, else to its side's sentinel,
+    # which ends it and every search that jumps through it.
+    gap = np.flatnonzero(valley[:-1] > stop.take(row[:-1]))
     link = np.empty(2 * n + 2, dtype=np.intp)
     link[:n + 1] = n
     link[n + 1:] = 2 * n + 1
     link[gap + 1] = gap
     link[gap + n + 1] = gap + n + 2
-    low = np.concatenate(([-np.inf], valley[:-1], [np.inf], valley, [np.inf]))
     height = np.concatenate((birth, [np.inf], birth, [np.inf]))
     # The order of heights: a peak of birth b is lower than its left
     # neighbour while < b, than its right one while <= b. Of two neighbours
     # across an open valley, the lower one has found its elder; the higher
-    # one searches on past it, with threshold b on the left and nextafter(b,
-    # +inf) on the right for _jump's "<" (+inf for the largest finite b).
+    # one searches on past it, with threshold b on the left and the next
+    # float above b on the right for _jump's "<". Adding 0.0 turns -0.0 into
+    # 0.0; the next float then has the next bit pattern away from zero for
+    # b >= 0 and towards it for b < 0, +inf after the largest finite b.
     left, right = birth[gap], birth[gap + 1]
     up = left < right
     act = gap + np.where(up, 1, n + 1)
-    if clear:  # the next float up has the next bit pattern, +inf's after the largest
-        after = (left.view(np.int64) + 1).view(np.float64)
-    else:
-        with np.errstate(over="ignore"):
-            after = np.nextafter(left, np.inf)
-    thr = np.where(up, right, after)
+    bits = (left + 0.0).view(np.int64)
+    bits += bits >> 63 | 1
+    thr = np.where(up, right, bits.view(np.float64))
     # A V-shaped row needs one round per peak of one arm, so the rounds are
     # capped and the peaks still searching finish by binary lifting.
     rest = _jump(height, link, low, act, thr, 3 * (q + 2).bit_length())
     if rest.size:
         rest = np.unique(rest % (n + 1))
-        low[rest], low[rest + n + 1] = _lift(rows, *divmod(at[rest], q), birth[rest])
+        low[rest], low[rest + n + 1] = _lift(rows, row[rest], at[rest] % q, birth[rest])
     death = np.maximum(low[:n], low[n + 1:-1])
     top = np.flatnonzero(death == -np.inf)  # no elder on either side, nor a stop
-    death[top] = row_min[at[top] // q]
+    death[top] = row_min[row[top]]
     pers = birth - death
     alive = pers > 0.0
-    at, pers, death = at[alive], pers[alive], death[alive]
-    if b == 1:
-        return np.zeros(at.size, dtype=at.dtype), at, pers, death
-    first = np.searchsorted(at, ends)
-    row = np.repeat(np.arange(b), first[1:] - first[:-1])
-    return row, at - row * q, pers, death
+    row, at = row[alive], at[alive]
+    return row, at - row * q, pers[alive], death[alive]
 
 
 def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
@@ -456,26 +454,10 @@ def _topk_vectors(rows: np.ndarray, ks: tuple) -> tuple[np.ndarray, ...]:
 
     In the matrix of k, row i is zero except at the ceil(k% of m_i) most
     persistent of its m_i positive-persistence peaks (ties to the smaller
-    position), which carry their persistence. A peak's death is its
-    topographic saddle: the minimum between it and its nearest higher peak
-    on each side, the higher of the two where both exist, the row minimum
-    where neither does. This is the elder-rule pairing of :func:`transform`.
-
-    The order of heights (taller, or as tall and further left) is one
-    threshold per search: a value x is lower than a peak of birth b while
-    x < b on the left, and while x < nextafter(b, +inf), that is x <= b for
-    finite values, on the right. Only a search whose neighbouring peak is
-    lower gets one; the others have found their elder. Both elders are
-    peaks, so each search walks the block's sequence of peaks: :func:`_jump`
-    follows links to ever farther peaks for at most ``3 * (q +
-    2).bit_length()`` rounds, and the peaks still searching finish by
-    binary lifting (:func:`_lift`), so the work per block is bounded and the
-    range tables are built only then. A search ends early at the first
-    valley at its row's minimum, which on a zero floor is mostly the first
-    valley, so V-shaped rows that touch their minimum between the arms no
-    longer reach the cap; rows holding a -0.0 search to the end. Each block
-    of rows is paired once; only the selection (:func:`_select`) runs once
-    per k, each smaller k among the next larger k's kept peaks.
+    position), which carry their persistence, as paired by the elder rule
+    of :func:`transform`. Each block of ``_BLOCK`` rows is paired once, by
+    :func:`_pair_block`; only the selection (:func:`_select`) runs once per
+    k, each smaller k among the next larger k's kept peaks.
     """
     rows = np.asarray(rows, dtype=np.float64)
     ks = tuple(map(_check_k, ks))

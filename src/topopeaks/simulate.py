@@ -259,22 +259,22 @@ def bench_denoise(sizes, noise: NoiseModel, k=25.0, *, baseline: float = 0.0,
                   seed: int = 1234) -> list[BenchResult]:
     """Wall-clock denoising time per image size, one row per size.
 
-    Each size's time is the median of seven ``denoise`` calls, one per round
-    over all sizes, each on a freshly simulated noisy image. A shared
-    machine's throughput drifts over seconds; every size then samples the
-    same spells, so the drift cancels from the ratios between sizes, and
-    the median ignores a call that a stall slowed.
+    Each size's noisy image is simulated once, before any timing; its time
+    is the median of seven ``denoise`` calls on it, one per round over all
+    sizes. A shared machine's throughput drifts over seconds; every size
+    then samples the same spells, so the drift cancels from the ratios
+    between sizes, and the median ignores a call that a stall slowed.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("need at least one size")
     k = _check_k(k)
-    specs = [SimulationSpec(size=size, baseline=baseline, n_mz=n_mz,
-                            n_peaks=n_peaks, seed=seed) for size in sizes]
-    times = np.empty((_BENCH_ROUNDS, len(specs)))
+    images = [add_noise(generate_ground_truth(SimulationSpec(
+        size=size, baseline=baseline, n_mz=n_mz, n_peaks=n_peaks, seed=seed))[0], noise)
+        for size in sizes]
+    times = np.empty((_BENCH_ROUNDS, len(images)))
     for r in range(_BENCH_ROUNDS):
-        for i, spec in enumerate(specs):
-            noisy = add_noise(generate_ground_truth(spec)[0], noise)
+        for i, noisy in enumerate(images):
             t0 = time.perf_counter()
             denoise(noisy, k)
             times[r, i] = time.perf_counter() - t0

@@ -10,9 +10,14 @@ near-degenerate saddles).
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +45,9 @@ from topopeaks import (
 from topopeaks import persistence
 from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors, _transform_values
 
-# SHA-256 of _pair_block's arrays on TestPairBlock._sequence_blocks()
-GOLDEN_PAIR_BLOCK_SHA256 = "bc72491c4dd6cec7f85667e12ae604d5f29ddb96f3e86d5bb0142b703dcf56eb"
+# SHA-256 of _pair_block's arrays on TestPairBlock._sequence_blocks(), the
+# same with every SIMD dispatch level of numpy 2.4 on x86-64
+GOLDEN_PAIR_BLOCK_SHA256 = "bc964720800c671a050d2bc770bcc6c753dc8cd7620a3d3d783890bccbca381f"
 
 
 class TestDetectExtrema:
@@ -800,21 +806,61 @@ class TestPairBlock:
             blocks.append(np.array([row[:q] for row in rows]))
         return blocks
 
-    def test_golden_digest_with_sign_bits(self, monkeypatch):
-        # np.array_equal cannot see the sign of a zero, and the reference
-        # does not define it; the bytes of all four arrays can. The digest
-        # was recorded before the kernel set up only the searches that move.
-        lifted = self._count_lifts(monkeypatch)
+    @classmethod
+    def _golden_digest(cls):
+        """SHA-256 of the bytes of _pair_block's four arrays on the sequence
+        blocks, and the set of sign bits of the zero deaths."""
         digest = hashlib.sha256()
         zeros = set()
-        for rows in self._sequence_blocks():
+        for rows in cls._sequence_blocks():
             got = _pair_block(rows)
             for a in got:
                 digest.update(np.asarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8").tobytes())
             death = got[3]
             zeros.update(np.signbit(death[death == 0]).tolist())
+        return digest.hexdigest(), zeros
+
+    def test_golden_digest_with_sign_bits(self, monkeypatch):
+        # np.array_equal cannot see the sign of a zero, and the reference
+        # does not define it; the bytes of all four arrays can. The digest
+        # was recorded once each row's minimum was read at its rightmost
+        # lowest position, which made it one value on every CPU.
+        lifted = self._count_lifts(monkeypatch)
+        digest, zeros = self._golden_digest()
         assert zeros == {False, True} and sum(lifted) > 0
-        assert digest.hexdigest() == GOLDEN_PAIR_BLOCK_SHA256
+        assert digest == GOLDEN_PAIR_BLOCK_SHA256
+
+    def test_golden_digest_does_not_depend_on_simd_dispatch(self):
+        # numpy picks its SIMD loops by the CPU at run time. A fresh
+        # interpreter limited to numpy's baseline features must give the
+        # kernel the same bytes as this one.
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        if not any(umath.__cpu_features__.get(f) for f in umath.__cpu_dispatch__):
+            pytest.skip("numpy dispatches no SIMD extension here")
+        script = (
+            "import json, sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "try:\n"
+            "    from numpy._core import _multiarray_umath as umath\n"
+            "except ImportError:\n"
+            "    from numpy.core import _multiarray_umath as umath\n"
+            "from test_persistence import TestPairBlock\n"
+            "on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]\n"
+            "json.dump([on, TestPairBlock._golden_digest()[0]], sys.stdout)\n"
+        )
+        env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(umath.__cpu_baseline__))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        paths = [str(Path(__file__).resolve().parent),
+                 str(Path(persistence.__file__).resolve().parents[1])]
+        done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        on, digest = json.loads(done.stdout)
+        if on:  # numpy ignores feature names it does not know
+            pytest.skip(f"the baseline interpreter still dispatches {on}")
+        assert digest == self._golden_digest()[0]
 
     def test_random_rows_need_no_lifting(self, monkeypatch):
         def refuse(*args):
