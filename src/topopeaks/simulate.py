@@ -269,9 +269,9 @@ def bench_denoise(sizes, noise: NoiseModel, k=25.0, *, baseline: float = 0.0,
     if not sizes:
         raise ValueError("need at least one size")
     k = _check_k(k)
-    images = [add_noise(generate_ground_truth(SimulationSpec(
-        size=size, baseline=baseline, n_mz=n_mz, n_peaks=n_peaks, seed=seed))[0], noise)
-        for size in sizes]
+    specs = [SimulationSpec(size=size, baseline=baseline, n_mz=n_mz,
+                            n_peaks=n_peaks, seed=seed) for size in sizes]
+    images = [add_noise(generate_ground_truth(spec)[0], noise) for spec in specs]
     times = np.empty((_BENCH_ROUNDS, len(images)))
     for r in range(_BENCH_ROUNDS):
         for i, noisy in enumerate(images):

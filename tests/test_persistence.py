@@ -50,6 +50,16 @@ from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors, _transform
 GOLDEN_PAIR_BLOCK_SHA256 = "bc964720800c671a050d2bc770bcc6c753dc8cd7620a3d3d783890bccbca381f"
 
 
+def _simd_features():
+    """numpy's baseline CPU features, and the dispatched ones it uses here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_baseline__, [f for f in umath.__cpu_dispatch__
+                                    if umath.__cpu_features__.get(f)]
+
+
 class TestDetectExtrema:
     def test_two_peaks(self):
         ext = detect_extrema(mk([0, 2, 1, 3, 0]))
@@ -834,24 +844,16 @@ class TestPairBlock:
         # numpy picks its SIMD loops by the CPU at run time. A fresh
         # interpreter limited to numpy's baseline features must give the
         # kernel the same bytes as this one.
-        try:
-            from numpy._core import _multiarray_umath as umath
-        except ImportError:  # numpy 1.x
-            from numpy.core import _multiarray_umath as umath
-        if not any(umath.__cpu_features__.get(f) for f in umath.__cpu_dispatch__):
+        baseline, on = _simd_features()
+        if not on:
             pytest.skip("numpy dispatches no SIMD extension here")
         script = (
             "import json, sys\n"
             "sys.path[:0] = sys.argv[1:]\n"
-            "try:\n"
-            "    from numpy._core import _multiarray_umath as umath\n"
-            "except ImportError:\n"
-            "    from numpy.core import _multiarray_umath as umath\n"
-            "from test_persistence import TestPairBlock\n"
-            "on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]\n"
-            "json.dump([on, TestPairBlock._golden_digest()[0]], sys.stdout)\n"
+            "from test_persistence import TestPairBlock, _simd_features\n"
+            "json.dump([_simd_features()[1], TestPairBlock._golden_digest()[0]], sys.stdout)\n"
         )
-        env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(umath.__cpu_baseline__))
+        env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(baseline))
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
         paths = [str(Path(__file__).resolve().parent),
                  str(Path(persistence.__file__).resolve().parents[1])]
