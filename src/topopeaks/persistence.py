@@ -15,11 +15,14 @@ Three independent routes compute the same pairing. One serves production:
   nearest elder and saddle by pointer jumping over the sequence of peaks,
   for a block of rows at once, and returns the peaks in position order.
   Only the search of the higher of two neighbouring peaks moves past the
-  valley between them, so only those searches are set up to jump. A
-  search ends at the first valley at its row's minimum, which cannot change
-  a death. Rows holding a value with its sign bit set search to the end,
-  and a row's minimum is read at its rightmost lowest value, as the
-  valleys are, so zero deaths carry the same sign on every CPU.
+  valley between them, so only those searches are set up to jump; those
+  still open after a fixed number of rounds finish by binary lifting over
+  the same links. A search ends at the first valley at its row's minimum,
+  which cannot change a death. Rows holding a value with its sign bit set
+  search to the end. Every search folds its valleys near to far, keeping
+  the farthest of equal lowest values, and a row's minimum is read at its
+  rightmost lowest value, as the valleys are, so zero deaths carry the
+  same sign on every CPU and however far the jumping got.
   :func:`transform` sorts its triples from a block of one row, so every
   persistence diagram runs it; :func:`_select` picks the top-k% peaks
   from its arrays, for several k from one pairing, by each row's cut value
@@ -259,7 +262,7 @@ _BLOCK = 8  # rows per kernel pass, and per simulate_means block; larger were no
 
 
 def _jump(height: np.ndarray, link: np.ndarray, low: np.ndarray, act: np.ndarray,
-          thr: np.ndarray, rounds: int) -> np.ndarray:
+          thr: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointer jumping (Wyllie 1979) towards each search's nearest elder.
 
     Entry i is one peak's search on one side. ``link[i]`` is a peak on that
@@ -268,72 +271,51 @@ def _jump(height: np.ndarray, link: np.ndarray, low: np.ndarray, act: np.ndarray
     between them, -inf once the search has passed its row's end. ``act``
     lists the entries still searching and ``thr`` their thresholds: while
     ``height[link[i]] < thr``, the link is lower than the peak too, and
-    entry i takes its link's link and the lower of the two minima. Runs at
-    most ``rounds`` rounds, in place, and returns the entries still
-    searching.
+    entry i takes its link's link and ``np.minimum`` of its minimum and the
+    link's, near before far. Runs at most ``rounds`` rounds, in place, and
+    returns the entries still searching with their thresholds.
     """
     for _ in range(rounds):
         if not act.size:
             break
+        # [] rather than take: most rounds gather a few hundred entries,
+        # where take's call costs more than it saves
         nxt = link[act]
         low[act] = np.minimum(low[act], low[nxt])
         nxt = link[nxt]
         link[act] = nxt
         go = height[nxt] < thr
         act, thr = act[go], thr[go]
-    return act
+    return act, thr
 
 
-def _lift(rows: np.ndarray, row: np.ndarray, pos: np.ndarray, birth: np.ndarray):
-    """Nearest elder on each side of the given peaks by binary lifting.
+def _climb(height: np.ndarray, link: np.ndarray, low: np.ndarray, act: np.ndarray,
+           thr: np.ndarray) -> None:
+    """Finish the searches :func:`_jump` leaves by binary lifting (Bender &
+    Farach-Colton 2000) over its links.
 
-    A value is lower than a peak of birth b while it is < b on the left and
-    <= b on the right, as in :func:`_jump`. Returns ``(left_min,
-    right_min)``: the minimum between the peak and its elder on that side,
-    -inf where the side has no elder. The range tables span the whole
-    block, so this runs only for the peaks :func:`_jump` leaves.
+    A step goes from entry i to ``link[i]`` and passes ``low[i]``. Level l
+    gives, for each entry, where 2**l steps land, the least valley they pass
+    and the highest peak they land on; a level is built only while some
+    open search could take it from its start. Each search takes the longest
+    run of steps that lands only below its threshold, then the one step onto
+    its elder or a sentinel, and folds the valleys near to far as
+    :func:`_jump` does. Writes ``low[act]``.
     """
-    b, q = rows.shape
-    # Each row padded with +inf at both ends: a window that reaches past the
-    # row holds an inf and is never taken, and the right search always stops.
-    # Sparse tables: level l holds the max (min) of the window of length 2**l
-    # starting at each padded position, +inf where the window leaves the row.
-    width = q + 2
-    levels = width.bit_length()
-    hi = np.full((levels, b, width), np.inf)
-    lo = np.full((levels, b, width), np.inf)
-    hi[0, :, 1:-1] = rows
-    lo[0, :, 1:-1] = rows
-    for level in range(1, levels):
-        span = 1 << (level - 1)
-        fit = width - 2 * span + 1
-        np.maximum(hi[level - 1, :, :fit], hi[level - 1, :, span:span + fit],
-                   out=hi[level, :, :fit])
-        np.minimum(lo[level - 1, :, :fit], lo[level - 1, :, span:span + fit],
-                   out=lo[level, :, :fit])
-    hi = hi.reshape(levels, -1)
-    lo = lo.reshape(levels, -1)
-    row_at = row * width  # flat index where each peak's padded row starts
-
-    # Take every window, longest first, that holds no elder: every value
-    # lower than the peak. The taken windows tile the span to the elder, so
-    # the minimum of their range-minima is the saddle on that side.
-    left = row_at + pos + 1  # the left windows end here, at the peak
-    right = left + 1  # and the right ones start here
-    left_min = np.full(pos.size, np.inf)
-    right_min = np.full(pos.size, np.inf)
-    for level in range(levels - 1, -1, -1):
-        w = 1 << level
-        at = np.maximum(left - w, row_at)
-        take = hi[level, at] < birth
-        left_min = np.where(take, np.minimum(left_min, lo[level, at]), left_min)
-        left -= take * w
-        take = hi[level, right] <= birth
-        right_min = np.where(take, np.minimum(right_min, lo[level, right]), right_min)
-        right += take * w
-    left_min[left - row_at == 1] = -np.inf  # reached the row start
-    right_min[right - row_at == q + 1] = -np.inf  # reached the row end
-    return left_min, right_min
+    levels = [(link, low, height.take(link))]
+    while True:
+        nxt, lo, hi = levels[-1]
+        if not (np.maximum(hi.take(act), hi.take(nxt.take(act))) < thr).any():
+            break
+        levels.append((nxt.take(nxt).astype(np.int32, copy=False),
+                       np.minimum(lo, lo.take(nxt)), np.maximum(hi, hi.take(nxt))))
+    at = act
+    acc = np.full(act.size, np.inf)
+    for nxt, lo, hi in reversed(levels):
+        go = hi.take(at) < thr
+        acc = np.where(go, np.minimum(acc, lo.take(at)), acc)
+        at = np.where(go, nxt.take(at), at)
+    low[act] = np.minimum(acc, low.take(at))
 
 
 def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -348,7 +330,8 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     Of two neighbouring peaks, the higher one is the lower one's nearest
     elder on that side, so only the higher one's search goes on past the
     valley between them: only those searches get a threshold and enter
-    :func:`_jump`. A search that reaches its row's end carries a -inf
+    :func:`_jump`, and those its cap leaves open enter :func:`_climb`. A
+    search that reaches its row's end carries a -inf
     valley, so a peak's death is the higher of its two searches' minima;
     where both are -inf, at a row's top peak, the row minimum is written in
     through a mask, as taking the maximum with it could flip a zero's sign.
@@ -358,9 +341,10 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     minimum and its death is the higher one, so the death is the same as
     the full search's. In a row that holds a value with its sign bit set, a
     -0.0 or a negative value, the searches run to the end, so that each zero
-    death keeps the sign the full search reads (jumping and binary lifting
-    can read different zeros of one span), and the row minimum is read at
-    its rightmost lowest position.
+    death keeps the sign the full search reads: jumping and climbing fold a
+    search's valleys near to far with ``np.minimum``, which keeps the
+    farther of two equal values, however the steps are grouped. The row
+    minimum is read at its rightmost lowest position.
     """
     b, q = rows.shape
     # Extrema of the total order (-value, position): a position rises when it
@@ -434,12 +418,12 @@ def _pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     bits = (left + 0.0).view(np.int64)
     bits += bits >> 63 | 1
     thr = np.where(up, right, bits.view(np.float64))
-    # A V-shaped row needs one round per peak of one arm, so the rounds are
-    # capped and the peaks still searching finish by binary lifting.
-    rest = _jump(height, link, low, act, thr, 3 * (q + 2).bit_length())
-    if rest.size:
-        rest = np.unique(rest % (n + 1))
-        low[rest], low[rest + n + 1] = _lift(rows, row[rest], at[rest] % q, birth[rest])
+    # On the far arm of a V-shaped row, links move one peak per round, so
+    # the rounds are capped and the searches still open climb: binary
+    # lifting over the links the jumping left.
+    act, thr = _jump(height, link, low, act, thr, 3 * (q + 2).bit_length())
+    if act.size:
+        _climb(height, link, low, act, thr)
     death = np.maximum(low[:n], low[n + 1:-1])
     top = np.flatnonzero(death == -np.inf)  # no elder on either side, nor a stop
     death[top] = row_min[row[top]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,6 +153,62 @@ def reference_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     pers = birth - death
     alive = pers > 0.0
     return row[alive], pos[alive], pers[alive], death[alive]
+
+
+# A plain elder search along each row, one peak and side at a time: the
+# byte-for-byte reference for persistence._pair_block, zero signs included.
+def sequential_pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row, position, persistence and death of every positive-persistence peak of a block.
+
+    Peaks are found by the kernel's extrema rule: above the left neighbour
+    (position 0: not below the right one) and not below the right one. The
+    valley between two neighbouring peaks is read at the rightmost of its
+    lowest values. Each side folds its valleys near to far with
+    ``np.minimum`` and stops at its elder (left: as tall or taller; right:
+    taller), at a valley at the row minimum (only in rows with no sign bit
+    set), or at the row end, where it folds in -inf. The death is
+    ``np.maximum(left, right)``, or the row minimum, read at its rightmost
+    lowest value, where that is -inf.
+    """
+    out = ([], [], [], [])
+    for r, x in enumerate(np.asarray(rows, dtype=np.float64).tolist()):
+        q = len(x)
+
+        def rightmost_lowest(lo, hi):
+            best = x[lo]
+            for v in x[lo + 1:hi]:
+                if v <= best:
+                    best = v
+            return best
+
+        peaks = [i for i in range(q)
+                 if (x[i] > x[i - 1] if i else q == 1 or x[0] >= x[1])
+                 and (i == q - 1 or x[i] >= x[i + 1])]
+        valleys = [rightmost_lowest(p + 1, s) for p, s in zip(peaks, peaks[1:])]
+        lowest = rightmost_lowest(0, q)
+        signed = any(math.copysign(1.0, v) < 0 for v in x)
+
+        def search(k, step):
+            b = x[peaks[k]]
+            low = np.inf
+            while 0 <= k + step < len(peaks):
+                v = valleys[min(k, k + step)]
+                low = np.minimum(low, v)
+                k += step
+                h = x[peaks[k]]
+                if (h >= b if step < 0 else h > b) or (not signed and v == lowest):
+                    return low
+            return np.minimum(low, -np.inf)
+
+        for k, p in enumerate(peaks):
+            death = np.maximum(search(k, -1), search(k, 1))
+            if death == -np.inf:
+                death = np.float64(lowest)
+            if x[p] - death > 0.0:
+                for a, v in zip(out, (r, p, x[p] - death, death)):
+                    a.append(v)
+    return (np.array(out[0], dtype=np.intp), np.array(out[1], dtype=np.intp),
+            np.array(out[2], dtype=np.float64), np.array(out[3], dtype=np.float64))
 
 
 def read_pgm(path) -> np.ndarray:

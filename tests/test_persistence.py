@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import detect_extrema, mk, reference_pair_block, to_persistence_vector
+from conftest import (
+    detect_extrema,
+    mk,
+    reference_pair_block,
+    sequential_pair_block,
+    to_persistence_vector,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _descending_peaks, _random_spectrum
@@ -47,7 +53,7 @@ from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors, _transform
 
 # SHA-256 of _pair_block's arrays on TestPairBlock._sequence_blocks(), the
 # same with every SIMD dispatch level of numpy 2.4 on x86-64
-GOLDEN_PAIR_BLOCK_SHA256 = "bc964720800c671a050d2bc770bcc6c753dc8cd7620a3d3d783890bccbca381f"
+GOLDEN_PAIR_BLOCK_SHA256 = "033efef1195b74f95b36580254b30891999f2454623a954b372dfe79abffdd4c"
 
 
 def _simd_features():
@@ -640,15 +646,16 @@ class TestPairBlock:
 
     @staticmethod
     def _count_lifts(monkeypatch):
-        """Spy on binary lifting: the list it returns gets each call's peak count."""
+        """Spy on binary lifting: the list it returns gets each call's count
+        of open searches."""
         lifted = []
-        lift = persistence._lift
+        climb = persistence._climb
 
-        def spy(rows, row, pos, birth):
-            lifted.append(pos.size)
-            return lift(rows, row, pos, birth)
+        def spy(height, link, low, act, thr):
+            lifted.append(act.size)
+            return climb(height, link, low, act, thr)
 
-        monkeypatch.setattr(persistence, "_lift", spy)
+        monkeypatch.setattr(persistence, "_climb", spy)
         return lifted
 
     def test_v_rows_reach_the_cap_and_lift(self, monkeypatch):
@@ -684,7 +691,7 @@ class TestPairBlock:
         def refuse(*args):
             raise AssertionError("binary lifting ran")
 
-        monkeypatch.setattr(persistence, "_lift", refuse)
+        monkeypatch.setattr(persistence, "_climb", refuse)
 
     @staticmethod
     def _assert_deaths(rows, deaths):
@@ -760,8 +767,9 @@ class TestPairBlock:
         self._assert_deaths(rows, [-0.0, -1.0, 0.0, 0.0, -1.0, -0.0, -2.0, -0.0, 0.0, -2.0, 0.0])
         # A V of 50 peaks whose arms outlast the jump cap, with runs of
         # signed zeros between peaks and one valley at -1, the minimum.
-        # Binary lifting and jumping can read different zeros; were the
-        # searches through -1 to stop, the peak at 9 would die at -0.0.
+        # The searches still open at the cap climb, folding their valleys
+        # near to far as the jumps do, so each zero death is the farthest
+        # of the lowest valleys passed, as the sequential search reads it.
         row = []
         for i in range(50):
             row.append(abs(i - 25) + 1.0)
@@ -772,7 +780,6 @@ class TestPairBlock:
         self._assert_matches(row[None, :])
         deaths = np.full(50, -0.0)
         deaths[[0, 49]] = -1.0
-        deaths[3] = 0.0
         self._assert_deaths(row[None, :], deaths)
 
     @staticmethod
@@ -831,10 +838,11 @@ class TestPairBlock:
         return digest.hexdigest(), zeros
 
     def test_golden_digest_with_sign_bits(self, monkeypatch):
-        # np.array_equal cannot see the sign of a zero, and the reference
-        # does not define it; the bytes of all four arrays can. The digest
-        # was recorded once each row's minimum was read at its rightmost
-        # lowest position, which made it one value on every CPU.
+        # np.array_equal cannot see the sign of a zero, and the range-table
+        # reference does not define it; the bytes of all four arrays can.
+        # The digest was recorded once the searches open at the jump cap
+        # climbed over their own links, which made it one value however
+        # far the jumping got.
         lifted = self._count_lifts(monkeypatch)
         digest, zeros = self._golden_digest()
         assert zeros == {False, True} and sum(lifted) > 0
@@ -868,13 +876,26 @@ class TestPairBlock:
         def refuse(*args):
             raise AssertionError("binary lifting ran")
 
-        monkeypatch.setattr(persistence, "_lift", refuse)
+        monkeypatch.setattr(persistence, "_climb", refuse)
         rng = np.random.default_rng(44)
         self._assert_matches(rng.normal(size=(_BLOCK, 3466)))
 
+    def test_sequence_blocks_match_the_sequential_search_in_bytes(self, monkeypatch):
+        # every byte of the four arrays, zero signs included, against a
+        # plain elder search along each row
+        lifted = self._count_lifts(monkeypatch)
+        for rows in self._sequence_blocks():
+            got = _pair_block(rows)
+            for g, e in zip(got, sequential_pair_block(rows), strict=True):
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), rows
+        assert sum(lifted) > 0
+
     @pytest.mark.parametrize("rounds", [0, 1, 2])
     def test_lifting_finishes_any_partial_jump(self, monkeypatch, rounds):
-        # cut the jumping short: peaks halfway to their elders finish by lifting
+        # cut the jumping short: searches halfway to their elders finish by
+        # lifting, to the same bytes as the run that is not cut
+        blocks = self._sequence_blocks()
+        full = [_pair_block(rows) for rows in blocks]
         jump = persistence._jump
 
         def short(height, link, low, act, thr, _):
@@ -886,18 +907,23 @@ class TestPairBlock:
             self._assert_matches(rng.uniform(0, 9, size=(_BLOCK, q)))
             self._assert_matches(rng.integers(0, 3, size=(_BLOCK, q)))
         self._assert_matches(self._v_rows(30))
+        for rows, expect in zip(blocks, full):
+            for g, e in zip(_pair_block(rows), expect):
+                assert g.tobytes() == e.tobytes(), rows
 
     def test_wide_block_memory(self):
         # no table as wide as the row: an 8 x 200,000 block of noise stays
-        # far below the 16 * 8 * q * log2(q) bytes of range tables
-        rows = np.abs(np.random.default_rng(46).normal(size=(_BLOCK, 200_000)))
-        tracemalloc.start()
-        try:
-            _topk_vectors(rows, (25.0,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 150e6
+        # far below the 16 * 8 * q * log2(q) bytes of range tables; raised V
+        # rows of 40,001 columns, whose far arms climb, stay under the bound
+        rng = np.random.default_rng(46)
+        for rows in (np.abs(rng.normal(size=(_BLOCK, 200_000))), self._v_rows(20_000, _BLOCK)):
+            tracemalloc.start()
+            try:
+                _topk_vectors(rows, (25.0,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 150e6, rows.shape
 
 
 class TestFeatureCsv:
