@@ -24,6 +24,18 @@ _GAP = 10  # minimum distance between peak positions, in axis steps
 _BENCH_ROUNDS = 7  # bench_denoise reports the median of this many calls per size
 
 
+def _shape_table() -> np.ndarray:
+    """exp(-d^2 / (2 sigma^2)) for d = 0, 1, ... up to the last d that is not 0.0."""
+    shape = []
+    while (v := math.exp(-(len(shape) ** 2) / (2.0 * PEAK_SIGMA**2))) > 0.0:
+        shape.append(v)
+    return np.array(shape)
+
+
+_SHAPE = _shape_table()  # a peak's profile at integer distances from its centre
+_PEAK = np.concatenate((_SHAPE[:0:-1], _SHAPE))  # the same, over the whole window
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """Parameters of one synthetic image."""
@@ -82,6 +94,19 @@ def _simulation(spec: SimulationSpec):
     ``truth(s, e)`` returns a fresh (e - s, n_mz) array holding the spectra
     of pixels s..e-1 in row-major order; rows of any split of the pixels
     have the same bits as the rows of the whole image.
+
+    A region's spectrum has the same bits on every CPU. Peaks sit at integer
+    axis steps, so a peak's value at distance d is ``_SHAPE[d]``, which is
+    exp(-d^2 / 8) from ``math.exp`` at ``PEAK_SIGMA`` = 2; the table ends
+    before the first d where that underflows to 0.0 (78 values). The
+    spectrum starts as a row of zeros, each of the region's peaks in their
+    drawn order adds height * ``_SHAPE[|x - c|]`` over its window
+    x = c - 77 ... c + 77 clipped to the axis, and the baseline is added
+    last. Every product outside a window would be +0.0 and the row never
+    falls below 0, so this equals the loop that adds every peak over the
+    whole row, bit for bit. Each product and sum is one correctly rounded
+    IEEE operation: no SIMD exp and no BLAS product, whose rounding depends
+    on the CPU.
     """
     rng = np.random.default_rng(spec.seed)
     slots = spec.n_mz - 2 * _EDGE - (spec.n_peaks - 1) * _GAP
@@ -92,12 +117,13 @@ def _simulation(spec: SimulationSpec):
     circle_ids = assign[: spec.n_peaks // 2]
     square_ids = assign[spec.n_peaks // 2 :]
 
-    axis = np.arange(spec.n_mz, dtype=np.float64)
-
     def region_spectrum(ids: np.ndarray) -> np.ndarray:
-        offsets = axis[None, :] - peak_idx[ids][:, None]
-        shapes = np.exp(-(offsets**2) / (2.0 * PEAK_SIGMA**2))
-        return spec.baseline + heights[ids] @ shapes
+        row = np.zeros(spec.n_mz)
+        w = _SHAPE.size - 1  # the window's half-width
+        for c, h in zip(peak_idx[ids].tolist(), heights[ids].tolist()):
+            lo, hi = max(c - w, 0), min(c + w + 1, spec.n_mz)
+            row[lo:hi] += h * _PEAK[lo - c + w:hi - c + w]
+        return row + spec.baseline
 
     circle_mask, square_mask = _region_masks(spec.size)
     if (circle_mask & square_mask).any():
@@ -122,7 +148,8 @@ def generate_ground_truth(spec: SimulationSpec) -> tuple[MSImage, np.ndarray]:
     Peak positions are drawn uniformly over the axis subject to a minimum
     separation of 10 steps (so every peak is a distinct spectral mode), peak
     heights uniformly from [1, 10]; a random half of the peaks goes to the
-    circle, the rest to the square. Identical specs give bit-identical output.
+    circle, the rest to the square. Identical specs give bit-identical output
+    on every CPU (see :func:`_simulation`).
     """
     mz, mask, truth = _simulation(spec)
     image = MSImage(spec.size, spec.size, mz, _Made(truth(0, spec.size * spec.size)))

@@ -2,14 +2,55 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+import topopeaks
 from topopeaks import LabeledDataset, Spectrum
 from topopeaks.persistence import _extrema_runs
+
+
+def _simd_features():
+    """numpy's baseline CPU features, and the dispatched ones it uses here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_baseline__, [f for f in umath.__cpu_dispatch__
+                                    if umath.__cpu_features__.get(f)]
+
+
+_CHILD = """
+import importlib, json, sys
+sys.path[:0] = sys.argv[3:]
+from conftest import _simd_features
+value = eval(sys.argv[2], vars(importlib.import_module(sys.argv[1])))
+json.dump([_simd_features()[1], value], sys.stdout)
+"""
+
+
+def run_digest_in_child(module: str, expr: str, env: dict[str, str]):
+    """Evaluate ``expr`` in test module ``module`` in a fresh interpreter.
+
+    The child runs with this process's environment, less numpy's CPU-feature
+    variables, plus ``env``. Returns the SIMD features numpy dispatches there
+    and the value, which must survive JSON.
+    """
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("NPY_ENABLE_CPU_FEATURES", "NPY_DISABLE_CPU_FEATURES")}
+    paths = [str(Path(__file__).resolve().parent),
+             str(Path(topopeaks.__file__).resolve().parents[1])]
+    done = subprocess.run([sys.executable, "-c", _CHILD, module, expr, *paths],
+                          env={**base, **env}, capture_output=True, text=True,
+                          check=True, timeout=120)
+    return json.loads(done.stdout)
 
 
 def mk(values, mz=None) -> Spectrum:

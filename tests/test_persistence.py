@@ -10,21 +10,18 @@ near-degenerate saddles).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
+    _simd_features,
     detect_extrema,
     mk,
     reference_pair_block,
+    run_digest_in_child,
     sequential_pair_block,
     to_persistence_vector,
 )
@@ -54,16 +51,6 @@ from topopeaks.persistence import _BLOCK, _pair_block, _topk_vectors, _transform
 # SHA-256 of _pair_block's arrays on TestPairBlock._sequence_blocks(), the
 # same with every SIMD dispatch level of numpy 2.4 on x86-64
 GOLDEN_PAIR_BLOCK_SHA256 = "033efef1195b74f95b36580254b30891999f2454623a954b372dfe79abffdd4c"
-
-
-def _simd_features():
-    """numpy's baseline CPU features, and the dispatched ones it uses here."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    return umath.__cpu_baseline__, [f for f in umath.__cpu_dispatch__
-                                    if umath.__cpu_features__.get(f)]
 
 
 class TestDetectExtrema:
@@ -855,19 +842,8 @@ class TestPairBlock:
         baseline, on = _simd_features()
         if not on:
             pytest.skip("numpy dispatches no SIMD extension here")
-        script = (
-            "import json, sys\n"
-            "sys.path[:0] = sys.argv[1:]\n"
-            "from test_persistence import TestPairBlock, _simd_features\n"
-            "json.dump([_simd_features()[1], TestPairBlock._golden_digest()[0]], sys.stdout)\n"
-        )
-        env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(baseline))
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        paths = [str(Path(__file__).resolve().parent),
-                 str(Path(persistence.__file__).resolve().parents[1])]
-        done = subprocess.run([sys.executable, "-c", script, *paths], env=env,
-                              capture_output=True, text=True, check=True, timeout=120)
-        on, digest = json.loads(done.stdout)
+        on, digest = run_digest_in_child("test_persistence", "TestPairBlock._golden_digest()[0]",
+                                         {"NPY_ENABLE_CPU_FEATURES": " ".join(baseline)})
         if on:  # numpy ignores feature names it does not know
             pytest.skip(f"the baseline interpreter still dispatches {on}")
         assert digest == self._golden_digest()[0]

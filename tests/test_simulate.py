@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import decimal
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import detect_extrema
+from conftest import _simd_features, detect_extrema, run_digest_in_child
 
 from topopeaks import (
     NoiseModel,
@@ -28,7 +30,7 @@ from topopeaks import (
 from topopeaks import persistence
 from topopeaks.cli import main
 from topopeaks.core import LabeledDataset, MSImage, _Made
-from topopeaks.simulate import MZ_RANGE, _region_masks
+from topopeaks.simulate import _EDGE, _GAP, _SHAPE, MZ_RANGE, _region_masks
 
 SMALL = SimulationSpec(size=12, n_mz=500, n_peaks=10, seed=3)
 # 144 and 169 pixels: 18 whole blocks of persistence._BLOCK = 8 rows, and 21 and a short one
@@ -138,6 +140,76 @@ class TestGenerateGroundTruth:
         _, mask = generate_ground_truth(SMALL)
         circle, square = _region_masks(SMALL.size)
         np.testing.assert_array_equal(mask, circle | square)
+
+    @pytest.mark.parametrize("spec", [
+        *(SimulationSpec(size=8, seed=seed) for seed in (1, 2, 3)),
+        SimulationSpec(size=8, baseline=2.7, seed=4),
+        SimulationSpec(size=8, n_mz=100, n_peaks=6, seed=5),  # narrower than a peak's window
+    ], ids=["seed1", "seed2", "seed3", "baseline", "narrow"])
+    def test_equals_the_plain_sum_in_bytes(self, spec):
+        got = generate_ground_truth(spec)[0].spectra
+        assert got.tobytes() == _reference_truth(spec).tobytes()
+
+    def test_shape_table_is_correctly_rounded(self):
+        # math.exp is not required to round correctly; a libm that rounded
+        # one entry differently would move every simulated image
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = [float((decimal.Decimal(-d * d) / 8).exp()) for d in range(_SHAPE.size + 1)]
+        assert _SHAPE.size == 78 and exact[-1] == 0.0
+        assert _SHAPE.tolist() == exact[:-1]
+
+    def test_digest_does_not_depend_on_the_cpu(self):
+        # numpy picks its SIMD loops, and OpenBLAS its kernels, by the CPU at
+        # run time. Fresh interpreters capped at each of numpy's dispatch
+        # levels, and one on OpenBLAS's oldest x86-64 kernels, must simulate
+        # the same bits as this one.
+        _, on = _simd_features()
+        settings = [{"NPY_DISABLE_CPU_FEATURES": " ".join(on[i:])} for i in range(len(on))]
+        settings.append({"OPENBLAS_CORETYPE": "Prescott"})
+        here = _simulated_digest()
+        for setting in settings:
+            used, digest = run_digest_in_child("test_simulate", "_simulated_digest()", setting)
+            off = setting.get("NPY_DISABLE_CPU_FEATURES", "").split()
+            assert not set(used) & set(off), (setting, used)
+            assert digest == here, setting
+
+
+def _reference_truth(spec: SimulationSpec) -> np.ndarray:
+    """The ground-truth spectra, summed in plain Python one position at a time.
+
+    The draws repeat the simulator's. Each position of a region sums
+    height * exp(-(x - c)^2 / 8) over the region's peaks in their drawn
+    order, then adds the baseline.
+    """
+    rng = np.random.default_rng(spec.seed)
+    slots = spec.n_mz - 2 * _EDGE - (spec.n_peaks - 1) * _GAP
+    base = np.sort(rng.choice(slots, size=spec.n_peaks, replace=False))
+    centers = (_EDGE + base + _GAP * np.arange(spec.n_peaks)).tolist()
+    heights = rng.uniform(1.0, 10.0, spec.n_peaks).tolist()
+    assign = rng.permutation(spec.n_peaks).tolist()
+    half = spec.n_peaks // 2
+    rows = np.full((spec.size * spec.size, spec.n_mz), float(spec.baseline))
+    for ids, region in zip((assign[:half], assign[half:]), _region_masks(spec.size)):
+        spectrum = []
+        for x in range(spec.n_mz):
+            total = 0.0
+            for p in ids:
+                total += heights[p] * math.exp(-(x - centers[p]) ** 2 / 8)
+            spectrum.append(total + spec.baseline)
+        rows[region.ravel()] = spectrum
+    return rows
+
+
+def _simulated_digest() -> str:
+    """SHA-256 of size-10 ground truths and of simulate_means' grids, seeds 1-3."""
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        h.update(generate_ground_truth(SimulationSpec(size=10, seed=seed))[0].spectra.tobytes())
+        model = NoiseModel("gaussian", 0.1, seed)
+        for grid in simulate_means(SimulationSpec(seed=seed), model, (10, 25)):
+            h.update(grid.tobytes())
+    return h.hexdigest()
 
 
 class TestAddNoise:
