@@ -258,7 +258,12 @@ def filter_top_k(pairs, k) -> list[PersistencePair]:
     return chosen
 
 
-_BLOCK = 8  # rows per kernel pass, and per simulate_means block; larger were no faster
+# Rows per kernel pass, and per simulate_means block. Blocks of 16 or 32 rows
+# pair the 900x3466 denoise and integer images 10-17% faster, with the same
+# bytes, but the working memory of raised-V rows grows with the block (8, 16
+# and 32 MiB). The size is to be measured again once the elder search's
+# memory no longer grows that way (ROADMAP item 7).
+_BLOCK = 8
 
 
 def _jump(height: np.ndarray, link: np.ndarray, low: np.ndarray, act: np.ndarray,

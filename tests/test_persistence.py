@@ -17,11 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
-    _simd_features,
     detect_extrema,
     mk,
     reference_pair_block,
-    run_digest_in_child,
     sequential_pair_block,
     to_persistence_vector,
 )
@@ -834,19 +832,6 @@ class TestPairBlock:
         digest, zeros = self._golden_digest()
         assert zeros == {False, True} and sum(lifted) > 0
         assert digest == GOLDEN_PAIR_BLOCK_SHA256
-
-    def test_golden_digest_does_not_depend_on_simd_dispatch(self):
-        # numpy picks its SIMD loops by the CPU at run time. A fresh
-        # interpreter limited to numpy's baseline features must give the
-        # kernel the same bytes as this one.
-        baseline, on = _simd_features()
-        if not on:
-            pytest.skip("numpy dispatches no SIMD extension here")
-        on, digest = run_digest_in_child("test_persistence", "TestPairBlock._golden_digest()[0]",
-                                         {"NPY_ENABLE_CPU_FEATURES": " ".join(baseline)})
-        if on:  # numpy ignores feature names it does not know
-            pytest.skip(f"the baseline interpreter still dispatches {on}")
-        assert digest == self._golden_digest()[0]
 
     def test_random_rows_need_no_lifting(self, monkeypatch):
         def refuse(*args):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import _simd_features, detect_extrema, run_digest_in_child
+from conftest import detect_extrema
 
 from topopeaks import (
     NoiseModel,
@@ -158,21 +158,6 @@ class TestGenerateGroundTruth:
             exact = [float((decimal.Decimal(-d * d) / 8).exp()) for d in range(_SHAPE.size + 1)]
         assert _SHAPE.size == 78 and exact[-1] == 0.0
         assert _SHAPE.tolist() == exact[:-1]
-
-    def test_digest_does_not_depend_on_the_cpu(self):
-        # numpy picks its SIMD loops, and OpenBLAS its kernels, by the CPU at
-        # run time. Fresh interpreters capped at each of numpy's dispatch
-        # levels, and one on OpenBLAS's oldest x86-64 kernels, must simulate
-        # the same bits as this one.
-        _, on = _simd_features()
-        settings = [{"NPY_DISABLE_CPU_FEATURES": " ".join(on[i:])} for i in range(len(on))]
-        settings.append({"OPENBLAS_CORETYPE": "Prescott"})
-        here = _simulated_digest()
-        for setting in settings:
-            used, digest = run_digest_in_child("test_simulate", "_simulated_digest()", setting)
-            off = setting.get("NPY_DISABLE_CPU_FEATURES", "").split()
-            assert not set(used) & set(off), (setting, used)
-            assert digest == here, setting
 
 
 def _reference_truth(spec: SimulationSpec) -> np.ndarray:
