@@ -91,25 +91,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True, help="labels CSV (label,group per row)")
     p.add_argument("--out-dir", required=True, help="directory for folds.csv and summary.csv")
     p.add_argument("--scheme", choices=["leave-one-group-out", "two-fold-AB"],
-                   default="leave-one-group-out")
-    p.add_argument("--classifier", choices=["logistic", "forest"], default="logistic")
+                   default="leave-one-group-out",
+                   help="one fold per group, or sorted groups split into halves A and B")
+    p.add_argument("--classifier", choices=["logistic", "forest"], default="logistic",
+                   help="unpenalised logistic regression or random forest")
     p.add_argument("--k", type=float, default=30.0, help="percentage of peaks to keep")
-    p.add_argument("--n-trees", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--n-trees", type=int, default=1000, help="trees in the forest")
+    p.add_argument("--seed", type=int, default=1234, help="random seed of the forest")
     p.set_defaults(run=_cmd_classify)
 
     def add_sim_flags(sp):
-        sp.add_argument("--baseline", type=float, default=0.0)
-        sp.add_argument("--n-mz", type=int, default=3466)
-        sp.add_argument("--n-peaks", type=int, default=50)
-        sp.add_argument("--seed", type=int, default=1234)
+        sp.add_argument("--baseline", type=float, default=0.0,
+                        help="flat intensity under every pixel spectrum")
+        sp.add_argument("--n-mz", type=int, default=3466, help="m/z values per spectrum")
+        sp.add_argument("--n-peaks", type=int, default=50,
+                        help="peaks split between the two regions")
+        sp.add_argument("--seed", type=int, default=1234,
+                        help="random seed of the spectra and the noise")
         sp.add_argument("--noise", choices=["none", "gaussian", "poisson"],
-                        default="gaussian")
+                        default="gaussian", help="noise added to every pixel spectrum")
         sp.add_argument("--sd", type=float, default=0.1, help="gaussian noise sd")
         sp.add_argument("--lam", type=float, default=1.0, help="poisson noise rate")
 
     def add_image_flags(sp):
-        sp.add_argument("--out-dir", required=True)
+        sp.add_argument("--out-dir", required=True, help="directory for the PGM images")
         sp.add_argument("--size", type=int, default=30, help="image side length in pixels")
         add_sim_flags(sp)
         sp.set_defaults(run=_cmd_simulate)
@@ -129,7 +134,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output timing CSV")
     p.add_argument("--sizes", default="30,42,60", help="comma-separated image sizes")
     add_sim_flags(p)
-    p.add_argument("--k", type=float, default=25.0)
+    p.add_argument("--k", type=float, default=25.0, help="percentage of peaks to keep")
     p.set_defaults(run=_cmd_bench)
     return parser
 

@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+import topopeaks
 from topopeaks import LabeledDataset, Spectrum
 from topopeaks.persistence import _extrema_runs
+
+
+def run_fresh(script: str, *args: str, env=None, flags=(), timeout=60):
+    """Run ``script`` in a fresh interpreter on this package; return its JSON stdout.
+
+    For checks of what belongs to the whole process: the modules loaded, the
+    allocator's state, string hashing, or a run that must end within
+    ``timeout`` seconds. ``env`` adds to the environment, ``flags`` go to the
+    interpreter before ``-c``.
+    """
+    src = str(Path(topopeaks.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": src, **(env or {})},
+                          capture_output=True, text=True, check=True, timeout=timeout)
+    return json.loads(done.stdout)
 
 
 def mk(values, mz=None) -> Spectrum:

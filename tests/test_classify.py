@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import two_class_dataset
+from conftest import run_fresh, two_class_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _two_class_groups
@@ -614,11 +610,7 @@ class TestFitForest:
             "    out.append([root.threshold, root.left.counts, root.right.counts])\n"
             "json.dump(out, sys.stdout)\n"
         )
-        src = str(Path(classify_module.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
-                              capture_output=True, text=True, check=True, timeout=20)
-        assert json.loads(done.stdout) == [
+        assert run_fresh(script, flags=("-W", "error"), timeout=20) == [
             [1 + 2**-52, [2, 0], [0, 1]],
             [1e308, [3, 0], [0, 1]],
             [-1.7e308, [0, 1], [3, 0]],
@@ -972,13 +964,9 @@ class TestGroupFolds:
             "       for g in cases for scheme in ('leave-one-group-out', 'two-fold-AB')]\n"
             "json.dump(out, sys.stdout)\n"
         )
-        src = str(Path(classify_module.__file__).resolve().parents[1])
         runs = set()
         for seed in range(6):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, check=True)
-            runs.add(json.dumps(json.loads(done.stdout)))
+            runs.add(json.dumps(run_fresh(script, env={"PYTHONHASHSEED": str(seed)})))
         assert len(runs) == 1
 
     def test_odd_group_count_puts_extra_in_a(self):

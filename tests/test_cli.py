@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import json
-import os
+import argparse
 import re
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_pair_block, two_class_dataset
+from conftest import reference_pair_block, run_fresh, two_class_dataset
 
 from topopeaks import (
     LabeledDataset,
@@ -119,6 +117,13 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         for flag in ("--in", "--out", "--k", "--reduced", "--diagram"):
             assert flag in out
+        # every option of every subcommand says what it does
+        (commands,) = [a.choices for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands) == {"transform", "classify", "simulate", "denoise", "bench"}
+        undocumented = [(name, a.option_strings[0]) for name, sub in commands.items()
+                        for a in sub._actions if a.option_strings and not a.help]
+        assert undocumented == []
 
 
 class TestRuntimeDependencies:
@@ -131,11 +136,7 @@ class TestRuntimeDependencies:
             "import topopeaks, topopeaks.cli\n"
             "json.dump(sorted(set(sys.modules) - before), sys.stdout)\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True, timeout=60)
-        loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
+        loaded = {name.split(".")[0] for name in run_fresh(script)}
         foreign = loaded - sys.stdlib_module_names - {"numpy", "topopeaks"}
         assert "topopeaks" in loaded and "numpy" in loaded
         assert not foreign, sorted(foreign)
@@ -231,6 +232,67 @@ class TestTransformCommand:
                     got, want = files[name].read_bytes(), files[f"want_{name}"].read_bytes()
                     assert got == want, (name, k, values.tolist())
 
+    def test_diagram_keeps_the_sign_of_zero_deaths(self, tmp_path):
+        # 0 and -0 between peaks: the row searches to the end, so every death
+        # keeps the sign bit that the full elder search reads
+        spectrum = write_spectrum(tmp_path / "s.csv", "1,0\n2,3\n3,-0\n4,1\n5,0\n"
+                                  "6,4\n7,-0\n8,0\n9,2\n10,-0\n")
+        dia = tmp_path / "diagram.csv"
+        assert main(["transform", "--in", spectrum, "--out", str(tmp_path / "o.csv"),
+                     "--diagram", str(dia)]) == 0
+        assert [line.split(",")[1] for line in dia.read_text().splitlines()] == [
+            "-0.0", "0.0", "0.0", "0.0"]
+
+    @staticmethod
+    def _transform_10000_peaks(tmp_path, values, *flags):
+        """Write ``values`` as a spectrum on the axis 0, 1, ...; run transform --k 25 on it."""
+        spectrum = write_spectrum(tmp_path / "s.csv",
+                                  "".join(f"{j},{x}\n" for j, x in enumerate(values)))
+        out = tmp_path / "out.csv"
+        assert main(["transform", "--in", spectrum, "--out", str(out), "--k", "25",
+                     *flags]) == 0
+        return out.read_text().splitlines()
+
+    def test_descending_staircase_of_10000_peaks(self, tmp_path):
+        # peaks in falling height order on rising saddles, the global maximum
+        # last: the divide-and-conquer route's quadratic case
+        m = 10_000
+        v = [0.0] * (2 * m + 1)
+        for i in range(m):
+            v[2 * i + 1], v[2 * i + 2] = 2 * m - i, i + 1e-3
+        v[2 * m] = 4 * m
+        dia = tmp_path / "diagram.csv"
+        top = self._transform_10000_peaks(tmp_path, v, "--diagram", str(dia))
+        assert len(dia.read_text().splitlines()) == m
+        assert len(top) == 1 + m // 4
+        # --reduced keeps the same peaks, in axis order rather than by birth
+        pairs = self._transform_10000_peaks(tmp_path, v, "--reduced")
+        assert len(pairs) == 1 + m // 4
+        assert [int(line.split(",")[0]) for line in pairs[1:]] == sorted(
+            int(line.split(",")[0]) for line in top[1:])
+
+    def test_v_of_10000_peaks_climbs(self, tmp_path, monkeypatch):
+        # a V of peaks on valleys at 0.5, above the row minimum at position 0:
+        # on its far arm the jumping moves one peak per round, so the searches
+        # still open at the cap finish by binary lifting over their links
+        climbs = []
+        climb = persistence._climb
+        monkeypatch.setattr(persistence, "_climb",
+                            lambda *a: climbs.append(a[3].size) or climb(*a))
+        m = 10_000
+        v = [0.0] + [0.5] * (2 * m)
+        for i in range(m):
+            v[2 * i + 1] = abs(i - m / 2) + 1.0
+        dia = tmp_path / "diagram.csv"
+        top = self._transform_10000_peaks(tmp_path, v, "--diagram", str(dia))
+        deaths = [line.split(",")[1] for line in dia.read_text().splitlines()]
+        assert len(deaths) == m
+        assert len(top) == 1 + m // 4
+        # the tallest peak, at the left end, has no elder and dies at the
+        # row minimum; every other one at a valley
+        assert sorted(deaths) == ["0.0"] + ["0.5"] * (m - 1)
+        assert len(climbs) == 1 and climbs[0] > 0
+
     def test_pairs_the_spectrum_once(self, tmp_path, monkeypatch):
         # the triples, the diagram and the top-k% peaks share one pairing
         calls = []
@@ -313,6 +375,21 @@ class TestClassifyCommand:
         folds = (out_dir / "folds.csv").read_text().splitlines()
         assert len(folds) == 3
         assert folds[1].startswith("train-A-test-B,")
+
+    def test_quoted_files_name_the_folds(self, tmp_path):
+        # quoted header, labels and groups; 8 spectra in 2 groups
+        spectra = write_spectrum(tmp_path / "spectra.csv",
+                                 '"100","200","300","400","500"\n0,1,0,3,0\n0,4,0,1,0\n'
+                                 "0,1,0,3,0\n0,5,0,1,0\n0,2,0,3,0\n0,4,0,2,0\n"
+                                 "0,1,0,4,0\n0,5,0,1,0\n")
+        labels = write_spectrum(tmp_path / "labels.csv",
+                                '"0","a"\n"1","a"\n"0","a"\n"1","a"\n'
+                                '"0","b"\n"1","b"\n"0","b"\n"1","b"\n')
+        out_dir = tmp_path / "cv"
+        assert main(["classify", "--spectra", spectra, "--labels", labels,
+                     "--out-dir", str(out_dir)]) == 0
+        folds = (out_dir / "folds.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in folds[1:]] == ["a", "b"]
 
     def test_forest_classifier_path(self, tmp_path):
         ds = two_class_dataset(n=16, q=20, seed=32, n_groups=2)
@@ -399,6 +476,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out-dir", str(out_dir), "--size", "8",
                    "--n-mz", "400", "--n-peaks", "4"])
         assert rc == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ground_truth.pgm", "noisy.pgm"]
         for name in ("ground_truth.pgm", "noisy.pgm"):
             raw = (out_dir / name).read_bytes()
             assert raw.startswith(b"P5\n8 8\n255\n")
@@ -501,6 +579,33 @@ class TestDenoiseCommand:
             got = (tmp_path / "jump" / name).read_bytes()
             assert got == (tmp_path / "lift" / name).read_bytes(), name
 
+    POISSON = ["--size", "8", "--n-mz", "400", "--n-peaks", "6", "--noise", "poisson",
+               "--lam", "1"]
+
+    def test_poisson_writes_one_pgm_per_k(self, tmp_path):
+        # Poisson counts tie often, so the top-k% cut falls inside runs of
+        # equal persistences
+        out_dir = tmp_path / "den"
+        assert main(["denoise", "--out-dir", str(out_dir), *self.POISSON,
+                     "--k", "0.001,50,100"]) == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["denoised_k0.001.pgm", "denoised_k100.pgm", "denoised_k50.pgm",
+                         "ground_truth.pgm", "noisy.pgm"]
+        for name in names:
+            assert (out_dir / name).read_bytes().startswith(b"P5\n"), name
+
+    def test_order_of_k_keeps_the_tied_poisson_images(self, tmp_path):
+        # each image is byte-identical to denoising at that k alone, also
+        # where the Poisson counts make the cuts tie and one pairing serves
+        # every k
+        images = {}
+        for ks in ("10,25", "25,10", "25"):
+            out_dir = tmp_path / ks
+            assert main(["denoise", "--out-dir", str(out_dir), *self.POISSON, "--k", ks]) == 0
+            images[ks] = {p.name: p.read_bytes() for p in out_dir.glob("denoised_*")}
+        assert images["10,25"] == images["25,10"]
+        assert images["25"]["denoised_k25.pgm"] == images["10,25"]["denoised_k25.pgm"]
+
     def test_bad_k_list_exits_1(self, tmp_path, capsys):
         rc = main(["denoise", "--out-dir", str(tmp_path / "den"), "--size", "8",
                    "--n-mz", "400", "--n-peaks", "4", "--k", "ten"])
@@ -568,16 +673,3 @@ def test_bad_list_flag_exits_1_naming_the_list(tmp_path, capsys, command, out_fl
     assert rc == 1
     assert f"bad {name} list {value!r}: expected comma-separated" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_every_subcommand_is_deterministic(tmp_path):
-    # same flags, two runs, identical bytes
-    args = ["simulate", "--out-dir", None, "--size", "8", "--n-mz", "400",
-            "--n-peaks", "4", "--seed", "7"]
-    outputs = []
-    for run in ("a", "b"):
-        out_dir = tmp_path / run
-        args[2] = str(out_dir)
-        assert main(args) == 0
-        outputs.append((out_dir / "noisy.pgm").read_bytes())
-    assert outputs[0] == outputs[1]

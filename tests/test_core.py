@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import os
 import platform
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import read_pgm
+from conftest import read_pgm, run_fresh
 
 from topopeaks import (
     LabeledDataset,
@@ -23,7 +19,6 @@ from topopeaks import (
     write_pgm,
     write_spectrum_csv,
 )
-from topopeaks import cli
 from topopeaks.core import _write_csv
 
 
@@ -431,18 +426,6 @@ _GLIBC_PROC = pytest.mark.skipif(
     reason="checks glibc's mmap threshold through /proc")
 
 
-def _run_fresh(script: str, *args: str):
-    """Run ``script`` in a fresh interpreter on this package; return its JSON output.
-
-    The allocator's state belongs to the whole process, so a check of it must
-    not see what earlier tests allocated or set.
-    """
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, check=True, timeout=60)
-    return json.loads(done.stdout)
-
-
 _SIMULATE = """
 import sys
 import topopeaks.cli
@@ -484,7 +467,7 @@ def test_freed_image_sized_array_leaves_resident_memory(tmp_path):
     # been freed, and the freed heap block stays resident. The command sets
     # the threshold when it starts, so the check runs after one command.
     n = 3_000_000
-    grown, left = _run_fresh(_RESIDENT, str(tmp_path), str(n))
+    grown, left = run_fresh(_RESIDENT, str(tmp_path), str(n))
     assert grown > n * 8 * 3 // 4
     assert left < n * 8 // 4
 
@@ -518,7 +501,7 @@ def test_import_leaves_the_allocator_alone(tmp_path):
     # After the import, glibc's own thresholds rise to the first freed 8 MiB
     # block, so only the first rounds fault; once the command has set its
     # thresholds, every round does.
-    after_import, after_main = _run_fresh(_FAULTING_ROUNDS, str(tmp_path))
+    after_import, after_main = run_fresh(_FAULTING_ROUNDS, str(tmp_path))
     assert after_import <= 5, after_import
     assert after_main >= 45, after_main
 
@@ -540,5 +523,5 @@ def test_streaming_denoise_keeps_its_heap_resident(tmp_path):
     # to the OS and the next block faults it in again: 13,000-32,000 minor
     # faults at this size, against about 1,000 with the command's 8 MiB trim
     # threshold.
-    rc, faults = _run_fresh(_DENOISE_FAULTS, str(tmp_path))
+    rc, faults = run_fresh(_DENOISE_FAULTS, str(tmp_path))
     assert rc == 0 and faults <= 5_000, faults
