@@ -441,6 +441,10 @@ class CVReport:
             self, "std", float(np.std(a, ddof=1)) if a.size > 1 else float("nan")
         )
 
+    def statistics(self) -> tuple[tuple[str, float], ...]:
+        """``(name, value)`` of each summary statistic, in the order reports give them."""
+        return tuple((s, getattr(self, s)) for s in ("mean", "min", "max", "median", "std"))
+
     def summary_table(self) -> str:
         lines = [f"{'fold':<24}balanced accuracy"]
         for name, score in zip(self.fold_names, self.fold_scores):
@@ -448,8 +452,8 @@ class CVReport:
         for name in self.skipped:
             lines.append(f"{name:<24}skipped (single-class test fold)")
         lines.append("-" * 41)
-        for stat in ("mean", "min", "max", "median", "std"):
-            lines.append(f"{stat:<24}{getattr(self, stat):.4f}")
+        for stat, value in self.statistics():
+            lines.append(f"{stat:<24}{value:.4f}")
         if self.fit_status:
             separated = self.fit_status.count("separated")
             lines.append(f"{'separated folds':<24}{separated} of {len(self.fit_status)}")

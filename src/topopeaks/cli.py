@@ -192,9 +192,7 @@ def _cmd_classify(args) -> int:
     folds_path, summary_path = out_dir / "folds.csv", out_dir / "summary.csv"
     _write_csv(folds_path, zip(report.fold_names, report.fold_scores),
                header=("fold", "balanced_accuracy"))
-    stats = ("mean", "min", "max", "median", "std")
-    _write_csv(summary_path, ((s, getattr(report, s)) for s in stats),
-               header=("statistic", "value"))
+    _write_csv(summary_path, report.statistics(), header=("statistic", "value"))
     _log(f"wrote {folds_path} and {summary_path}")
     print(report.summary_table())
     return 0

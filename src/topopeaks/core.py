@@ -192,39 +192,47 @@ def _csv_rows(path):
                 yield reader.line_num, fields
 
 
-def _finite_floats(path, lineno, fields) -> list[float]:
-    """A row's fields parsed by ``float``, which keeps every value's bits."""
-    try:
-        values = [float(v) for v in fields]
-    except ValueError:
-        raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{path}: line {lineno}: values must be finite")
-    return values
+def _float_table(path, rows, width: int, expected: str, signed: int = 0) -> np.ndarray:
+    """The ``(lineno, fields)`` rows as an (n, width) float64 table.
+
+    Each row must hold ``width`` fields, parsed by ``float`` (which keeps
+    every value's bits) to finite values; all but its first ``signed`` must
+    be non-negative. A bad row is reported with its 1-based line number.
+    """
+    data = array("d")  # 8 bytes a value, not a Python float each
+    for lineno, fields in rows:
+        if len(fields) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {expected}, got {len(fields)}")
+        try:
+            values = list(map(float, fields))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: line {lineno}: values must be finite")
+        # the row is sliced (copied) only when it holds a negative value
+        if min(values) < 0 and (low := min(values[signed:], default=0.0)) < 0:
+            raise ValueError(f"{path}: line {lineno}: negative intensity {low}")
+        data.extend(values)
+    return np.frombuffer(data).reshape(-1, width)
 
 
 def load_spectrum_csv(path) -> Spectrum:
     """Read one spectrum from a headerless two-column ``mz,intensity`` file.
 
     Rows may appear in any order; they are sorted by m/z. Malformed rows are
-    reported with their 1-based line number, duplicate m/z values and negative
-    intensities are rejected.
+    reported with their 1-based line number, and negative intensities are
+    rejected. So is a repeated m/z value: the error gives the later of the
+    two rows' values in file order, which tells -0.0 from 0.0.
     """
-    rows: list[tuple[float, float]] = []
-    for lineno, fields in _csv_rows(path):
-        if len(fields) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 'mz,intensity'")
-        mz, inten = _finite_floats(path, lineno, fields)
-        if inten < 0:
-            raise ValueError(f"{path}: line {lineno}: negative intensity {inten}")
-        rows.append((mz, inten))
-    if not rows:
+    table = _float_table(path, _csv_rows(path), 2, "'mz,intensity'", signed=1)
+    if not table.size:
         raise ValueError(f"{path}: no data rows")
-    mz, intensity = np.array(sorted(rows)).T
+    order = np.argsort(table[:, 0], kind="stable")
+    mz, intensity = table[order, 0], table[order, 1]
     dup = mz[1:][mz[1:] == mz[:-1]]
     if dup.size:
         raise ValueError(f"{path}: duplicate mz value {dup[0]}")
-    return Spectrum(mz, intensity)
+    return Spectrum(_Made(mz), _Made(intensity))
 
 
 def _write_csv(path, rows, header=None) -> None:
@@ -255,20 +263,11 @@ def load_dataset_csv(spectra_path, labels_path) -> LabeledDataset:
     lineno, header = next(rows, (0, None))
     if header is None:
         raise ValueError(f"{spectra_path}: empty file")
-    mz = _finite_floats(spectra_path, lineno, header)
-    if any(b <= a for a, b in zip(mz, mz[1:])):
+    q = len(header)
+    mz = _float_table(spectra_path, [(lineno, header)], q, "", signed=q)[0]
+    if np.any(mz[1:] <= mz[:-1]):
         raise ValueError(f"{spectra_path}: line {lineno}: mz values must be strictly increasing")
-    data = array("d")  # 8 bytes a value, not a Python float each
-    for lineno, fields in rows:
-        if len(fields) != len(mz):
-            raise ValueError(
-                f"{spectra_path}: line {lineno}: expected {len(mz)} intensities, got {len(fields)}"
-            )
-        values = _finite_floats(spectra_path, lineno, fields)
-        if min(values) < 0:
-            raise ValueError(f"{spectra_path}: line {lineno}: negative intensity {min(values)}")
-        data.extend(values)
-    intensities = np.frombuffer(data).reshape(-1, len(mz))
+    intensities = _float_table(spectra_path, rows, q, f"{q} intensities")
     labels, groups = [], []
     for lineno, fields in _csv_rows(labels_path):
         if len(fields) != 2:
@@ -279,9 +278,8 @@ def load_dataset_csv(spectra_path, labels_path) -> LabeledDataset:
         labels.append(int(fields[0]))
         groups.append(fields[1].strip())
     if len(labels) != len(intensities):
-        raise ValueError(
-            f"label count {len(labels)} does not match spectrum count {len(intensities)}"
-        )
+        raise ValueError(f"{labels_path}: label count {len(labels)} does not match "
+                         f"spectrum count {len(intensities)} of {spectra_path}")
     return LabeledDataset(mz, _Made(intensities), labels, groups)
 
 

@@ -470,25 +470,26 @@ def _select(row: np.ndarray, pers: np.ndarray, b: int, ks: tuple) -> list[np.nda
     the persistence t of rank keep = ceil(k% of m) from the top, read from
     the row's persistences sorted in one small zero-padded table. A row
     keeps every peak with persistence > t and, of those equal to t, the
-    leftmost keep - #(> t); a row without a peak keeps nothing. Where no
+    leftmost keep - #(> t); a row whose keep is 0 keeps nothing. Where no
     row's cut falls inside a run of equal persistences, the peaks at or
     above the cuts are exactly the kept ones. Selections are nested, so
     each smaller k is searched for among the next larger k's kept peaks.
     """
     counts = np.diff(np.searchsorted(row, np.arange(b + 1)))  # peaks per row
-    width = counts.max(initial=0) + 1
+    width = counts.max(initial=0)
     # Each row's persistences fill the first columns of its table row, in
-    # one put in row-major order. Every persistence is > 0, so the pads
-    # sort first, and each row has at least one: column -0 is a pad, the
-    # cut of a row that keeps none.
-    table = np.zeros((b, width))
-    table[np.arange(width) < counts[:, None]] = pers
+    # one put in row-major order. Every persistence is > 0, so the zero
+    # pads sort first; the last column holds +inf, the cut of a row that
+    # keeps none (a row without peaks, or a k whose keep rounds to 0).
+    table = np.zeros((b, width + 1))
+    table[:, width] = np.inf
+    table[np.arange(width + 1) < counts[:, None]] = pers
     table.sort(axis=1)
     kept = {}
     cand = None
     for k in sorted(set(ks), reverse=True):
         keep = np.ceil(k * counts / 100.0).astype(np.intp)
-        cut = table[np.arange(b), -keep]
+        cut = table[np.arange(b), width - keep]
         # the peaks at or above their row's cut, still by row, then by position
         if cand is None:
             cand = np.flatnonzero(pers >= np.repeat(cut, counts))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import platform
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,35 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError, match="duplicate mz"):
             load_spectrum_csv(path)
 
+    @pytest.mark.parametrize("text,named", [("0.0,2\n-0.0,1\n", "-0.0"),
+                                            ("0.0,1\n-0.0,2\n", "-0.0"),
+                                            ("-0.0,1\n0.0,2\n", "0.0")])
+    def test_signed_zero_duplicate_names_the_later_row(self, tmp_path, text, named):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"duplicate mz value {re.escape(named)}$"):
+            load_spectrum_csv(path)
+
+    def test_memory_peak_is_a_few_times_the_arrays(self, tmp_path):
+        # rows are parsed into one typed array, then ordered by one argsort:
+        # no Python float or tuple per row outlives its row
+        rng = np.random.default_rng(51)
+        n = 200_000
+        mz, intensity = np.arange(n) * 0.25 + 100.0, rng.random(n)
+        order = rng.permutation(n)
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{m!r},{v!r}\n" for m, v in
+                                zip(mz[order].tolist(), intensity[order].tolist())))
+        tracemalloc.start()
+        try:
+            s = load_spectrum_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.mz.tobytes() == mz.tobytes()
+        assert s.intensity.tobytes() == intensity.tobytes()
+        assert peak <= 4 * (s.mz.nbytes + s.intensity.nbytes)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("\n")
@@ -256,6 +286,13 @@ class TestDatasetCsv:
         sp, lp = self._write(tmp_path, "1.0\n1\n2\n3\n", "0,a\n1,b\n")
         with pytest.raises(ValueError, match="label count 2 does not match spectrum count 3"):
             load_dataset_csv(sp, lp)
+
+    def test_count_mismatch_names_both_files(self, tmp_path):
+        sp, lp = self._write(tmp_path, "1.0\n1\n2\n3\n", "0,a\n1,b\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset_csv(sp, lp)
+        assert str(err.value) == (
+            f"{lp}: label count 2 does not match spectrum count 3 of {sp}")
 
     @pytest.mark.parametrize("text,line", [("200,100\n1,2\n", 1), ("100,100\n1,2\n", 1),
                                            ("\n100,300,200\n1,2,3\n", 2)])
@@ -310,6 +347,21 @@ _CSV_CASES = {
     "negative": [
         ("spectrum", "1,10\n2,-20\n", 2),
         ("spectra", "100,200\n1,2\n3,-4\n", 3),
+    ],
+    "CRLF endings": [
+        ("spectrum", "1,10\r\n2,20\r\n", None),
+        ("spectra", "100,200\r\n1,2\r\n3,4\r\n", None),
+        ("labels", "0,a\r\n1,b\r\n", None),
+    ],
+    "byte-order mark": [
+        ("spectrum", "\ufeff1,10\n2,20\n", 1),
+        ("spectra", "\ufeff100,200\n1,2\n3,4\n", 1),
+        ("labels", "\ufeff0,a\n1,b\n", 1),
+    ],
+    "bad value after blank lines": [
+        ("spectrum", "1,10\n\n  \n2,x\n", 4),
+        ("spectra", "100,200\n\n1,2\n  \n3,x\n", 5),
+        ("labels", "0,a\n\n \n7,b\n", 4),
     ],
 }
 

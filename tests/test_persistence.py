@@ -397,7 +397,7 @@ class TestFilterTopK:
         rng = np.random.default_rng(31)
         for q in range(1, 81):
             rows = self._mixed_rows(rng, q)
-            ks = (0.001, 7.5, 25.0, 50.0, 99.9, 100.0)
+            ks = (5e-324, 0.001, 7.5, 25.0, 50.0, 99.9, 100.0)
             for k, expect in self._reference(rows, ks).items():
                 assert np.array_equal(_topk_vectors(rows, (k,))[0], expect), (q, k)
 
