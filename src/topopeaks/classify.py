@@ -24,7 +24,7 @@ from .features import build_matrix
 _TOL = 1e-8  # fit_logistic stops once the gradient's max-norm is at most this
 _MAX_ITER = 200  # and after this many Newton steps at most
 _THRESHOLD = 0.5  # class 1 when the probability is above this
-_MAX_FEATURE = 1e100  # larger features would overflow the Newton system R'(R*w)
+_MAX_FEATURE = 1e100  # X X' and the Newton system R'(R*w) square larger ones past the float range
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +86,55 @@ def _as_matrix(Z) -> tuple[np.ndarray, float]:
     return Z, max(-lo, hi)
 
 
+def _status(y: np.ndarray, p: np.ndarray, converged: bool) -> str:
+    # Perfect training classification means the data is separable (scaling
+    # beta then pushes the likelihood to its supremum), so the "stationary
+    # point" the tolerance found is saturation, not an interior maximum.
+    if np.array_equal((p > _THRESHOLD).astype(np.float64), y):
+        return "separated"
+    return "converged" if converged else "max_iter"
+
+
+def _fit_interpolating(Z: np.ndarray, y: np.ndarray) -> LogisticModel | None:
+    """The Newton iteration of ``fit_logistic`` in closed form, when X = [1, Z] has full row rank.
+
+    Then every Newton step from eta = e * s (s = 2y - 1) moves each row by
+    s / expit(e), so eta stays e * s with e_0 = 0, e_{t+1} = e_t + 1 + exp(-e_t),
+    and beta = e * X'c with c = (X X')^-1 s. X X' squares the condition of X,
+    so c is refined once from the residual s - X(X'c), formed through X.
+    Returns None when X X' fails the rank test or a full step's ``_gain`` is
+    negative.
+    """
+    n, q = Z.shape
+    K = Z @ Z.T
+    K += 1.0
+    lam, V = np.linalg.eigh(K)
+    if not lam[0] > lam[-1] * max(n, q + 1) * np.finfo(np.float64).eps:
+        return None
+    s = 2.0 * y - 1.0
+    c = V @ ((V.T @ s) / lam)
+    c += V @ ((V.T @ (s - c.sum() - Z @ (Z.T @ c))) / lam)
+    Y = np.column_stack([y, 1.0 - y])
+    XtY = np.vstack([Y.sum(0), Z.T @ Y])  # X'y and X'(1 - y)
+    e = 0.0
+    n_iter = 0
+    converged = False
+    for it in range(_MAX_ITER):
+        eta = e * s
+        p = _expit(eta)
+        p1, p0 = _expit(np.array([e, -e]))  # p on class 1 and class 0 rows
+        if np.max(np.abs(XtY @ np.array([1.0 - p1, -p0]))) <= _TOL:
+            converged = True
+            break
+        n_iter = it + 1
+        step = 1.0 + math.exp(-e)
+        if not _gain(y, eta, p, step * s) >= 0.0:
+            return None
+        e += step
+    p = _expit(e * s)
+    return LogisticModel(e * np.append(c.sum(), Z.T @ c), _status(y, p, converged), n_iter)
+
+
 def fit_logistic(Z, y) -> LogisticModel:
     """Maximum-likelihood logistic regression by damped Newton iteration.
 
@@ -98,14 +147,26 @@ def fit_logistic(Z, y) -> LogisticModel:
     interior maximum.
 
     Newton runs in the row space of X = [1, Z] (Hastie & Tibshirani,
-    Biostatistics 2004). From beta = 0 every minimum-norm Newton step lies in
-    that space, so one thin SVD X = U S V' gives the same iteration on the
-    n x r matrix R = U S (r = min(n, q + 1)) with beta = V a: each step solves
-    an r x r system instead of a (q + 1) x (q + 1) one, and moves the linear
-    predictor by R times the step. beta is the minimum-norm solution in the
-    row space of X; the stopping test uses the full gradient X'(y - p).
+    Biostatistics 2004), and beta is the minimum-norm solution in that space.
+    Two routes compute it:
+
+    - Wide (n <= q + 1): the kernel K = X X' is split by ``eigh``. When its
+      least eigenvalue exceeds the largest times max(n, q + 1) * eps, X has
+      full row rank, so each full Newton step moves eta = e * (2y - 1) to
+      (e + 1 + exp(-e)) * (2y - 1). This scalar recurrence runs with the
+      same stopping test, step count and status rule, and gives beta =
+      e * X' K^-1 (2y - 1): a scaled minimum-norm least-squares fit to the
+      +-1 labels (Muthukumar et al., JMLR 2021), always ``"separated"``
+      once e > 0.
+    - Otherwise, and when that test fails or a full step's ``_gain`` is
+      negative: one thin SVD X = U S V' gives the iteration on the n x r
+      matrix R = U S (r = min(n, q + 1)) with beta = V a. Each step solves an
+      r x r system instead of a (q + 1) x (q + 1) one, and moves the linear
+      predictor by R times the step; the stopping test uses the full
+      gradient X'(y - p).
+
     Features beyond ``_MAX_FEATURE`` (1e100) in magnitude raise ValueError,
-    since R'(R*w) squares them past the float range.
+    since X X' and R'(R*w) square them past the float range.
     """
     Z, top = _as_matrix(Z)
     n = Z.shape[0]
@@ -114,6 +175,10 @@ def fit_logistic(Z, y) -> LogisticModel:
     if top > _MAX_FEATURE:
         raise ValueError(f"logistic features must lie within ±{_MAX_FEATURE:g}")
     y = _binary_labels(y, n)
+    if n <= Z.shape[1] + 1:
+        model = _fit_interpolating(Z, y)
+        if model is not None:
+            return model
     X = np.column_stack([np.ones(n), Z])
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     R = U * s
@@ -142,17 +207,7 @@ def fit_logistic(Z, y) -> LogisticModel:
             step = step / 2.0
         if not improved:
             break
-    # Perfect training classification means the data is separable (scaling
-    # beta then pushes the likelihood to its supremum), so the "stationary
-    # point" the tolerance found is saturation, not an interior maximum.
-    preds = (p > _THRESHOLD).astype(np.float64)
-    if np.array_equal(preds, y):
-        status = "separated"
-    elif converged:
-        status = "converged"
-    else:
-        status = "max_iter"
-    return LogisticModel(a @ Vt, status, n_iter)
+    return LogisticModel(a @ Vt, _status(y, p, converged), n_iter)
 
 
 def _as_rows(z, width: int) -> tuple[np.ndarray, bool]:

@@ -79,7 +79,7 @@ def _mz_axis(mz) -> np.ndarray:
     if mz.ndim != 1 or mz.size == 0:
         raise ValueError("mz must be a one-dimensional axis of at least one point")
     _finite_range(mz, "mz values")
-    if np.any(np.diff(mz) <= 0):
+    if np.any(mz[1:] <= mz[:-1]):
         raise ValueError("mz values must be strictly increasing")
     return mz
 

@@ -322,7 +322,7 @@ class TestFitLogistic:
             fit_logistic(np.zeros((0, 2)), np.zeros(0))
 
     def test_huge_features_rejected_naming_the_limit(self):
-        # R'(R*w) would square 1e200 past the float range and the solve fail
+        # X X' and R'(R*w) would square 1e200 past the float range and the fit fail
         with pytest.raises(ValueError, match=r"within ±1e\+100"):
             fit_logistic(np.array([[1e200], [2e200], [3e200], [4e200]]), np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError, match=r"within ±1e\+100"):
@@ -425,6 +425,107 @@ class TestRowSpaceNewton:
                 assert grad_max(Z, y, m.beta) <= _TOL
                 assert m.beta[0] == pytest.approx(math.log(k / (n - k)), abs=1e-7)
                 assert m.beta[1] == 0.0
+
+
+def wide_design(rng, scale, held_out=5):
+    """|N(0,1)| * scale features with q + 1 > n, labels of either class, and held-out rows."""
+    n = int(rng.integers(2, 40))
+    Z = np.abs(rng.normal(size=(n + held_out, int(rng.integers(n, 2 * n + 5))))) * scale
+    return Z[:n], (rng.uniform(size=n) < 0.5).astype(int), Z[n:]
+
+
+def closed_form_fit(monkeypatch, Z, y):
+    """fit_logistic with the SVD route refused, so it must take the closed form."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SVD route was taken")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", refuse)
+        m.setattr(np.linalg, "lstsq", refuse)
+        return fit_logistic(Z, y)
+
+
+def beta_gap(beta, ref):
+    """Largest coefficient difference, relative to ``ref``'s largest coefficient."""
+    return np.max(np.abs(beta - ref)) / np.max(np.abs(ref))
+
+
+def direction_gap(beta, ref):
+    """Largest coefficient difference once both are scaled to unit length."""
+    return np.max(np.abs(beta / np.linalg.norm(beta) - ref / np.linalg.norm(ref)))
+
+
+def recurrence(n_iter):
+    """e after n_iter full Newton steps on a full-row-rank design."""
+    e = 0.0
+    for _ in range(n_iter):
+        e += 1.0 + math.exp(-e)
+    return e
+
+
+class TestClosedForm:
+    """Wide full-row-rank fits: the scalar recurrence against the Newton loops."""
+
+    def test_loop_only_where_the_closed_form_fails(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        Z = rng.normal(size=(6, 10))
+        y = np.array([0, 1, 0, 1, 1, 0])
+        for wide in (Z, Z[:, :5]):  # q + 1 > n, and a square X
+            assert closed_form_fit(monkeypatch, wide, y).status == "separated"
+        equal_rows = Z.copy()
+        equal_rows[1] = equal_rows[0]
+        tall = rng.normal(size=(12, 3))
+        for loop_Z, loop_y in ((equal_rows, y), (np.zeros((6, 10)), y), (tall, np.arange(12) % 2)):
+            with pytest.raises(AssertionError, match="SVD route"):
+                closed_form_fit(monkeypatch, loop_Z, loop_y)
+        # a full step that _gain scores below 0 is left to the loop's halving
+        monkeypatch.setattr(classify_module, "_gain", lambda y, eta, p, d: -1.0)
+        with pytest.raises(AssertionError, match="SVD route"):
+            closed_form_fit(monkeypatch, Z, y)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    def test_matches_the_newton_loops(self, monkeypatch, scale):
+        # A loop whose rounded step fails _gain halves it and ends at a
+        # smaller e: beta's length then differs (by 1.5e-2 on a 38 x 48
+        # design at 1e5 against the dense reference), its direction does not.
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            Z, y, held_out = wide_design(rng, scale)
+            ref = reference_fit_logistic(Z, y)
+            with monkeypatch.context() as m:
+                m.setattr(classify_module, "_fit_interpolating", lambda Z, y: None)
+                loop = fit_logistic(Z, y)
+            new = closed_form_fit(monkeypatch, Z, y)
+            for other in (ref, loop):
+                assert (new.status, new.n_iter) == (other.status, other.n_iter)
+                for rows in (Z, held_out):
+                    np.testing.assert_array_equal(predict_logistic(new, rows)[1],
+                                                  predict_logistic(other, rows)[1])
+                assert direction_gap(new.beta, other.beta) <= BETA_RTOL
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5, 1e10, 1e99])
+    def test_is_the_scaled_minimum_norm_interpolator(self, monkeypatch, scale):
+        # at 1e99, X X' holds entries near 1e200, short of the float range
+        rng = np.random.default_rng(72)
+        for _ in range(30):
+            Z, y, held_out = wide_design(rng, scale)
+            m = closed_form_fit(monkeypatch, Z, y)
+            X = np.column_stack([np.ones(len(y)), Z])
+            ref = recurrence(m.n_iter) * (np.linalg.pinv(X) @ (2.0 * y - 1.0))
+            assert m.status == "separated"
+            assert beta_gap(m.beta, ref) <= 1e-9
+            np.testing.assert_array_equal(predict_logistic(m, held_out)[1],
+                                          predict_logistic(LogisticModel(ref), held_out)[1])
+
+    def test_one_sample_and_one_class(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        cases = [(np.zeros((1, 0)), [1]), (rng.normal(size=(1, 4)), [0]),
+                 (rng.normal(size=(5, 9)), [1] * 5), (rng.normal(size=(5, 9)), [0] * 5)]
+        for Z, y in cases:
+            ref = reference_fit_logistic(Z, y)
+            new = closed_form_fit(monkeypatch, Z, y)
+            assert (new.status, new.n_iter) == ("separated", ref.n_iter)
+            assert beta_gap(new.beta, ref.beta) <= BETA_RTOL
 
 
 class TestGain:

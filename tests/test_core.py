@@ -20,7 +20,7 @@ from topopeaks import (
     write_pgm,
     write_spectrum_csv,
 )
-from topopeaks.core import _write_csv
+from topopeaks.core import _Made, _write_csv
 
 
 class TestSpectrum:
@@ -57,6 +57,20 @@ class TestSpectrum:
     def test_rejects_bad_input(self, mz, intensity, msg):
         with pytest.raises(ValueError, match=msg):
             Spectrum(mz=mz, intensity=intensity)
+
+    def test_order_check_allocates_no_axis_copy(self):
+        # the increasing-axis test compares shifted views into one bool mask
+        # (1 byte a point); np.diff would add a float64 copy of the axis
+        n = 200_000
+        mz, intensity = np.arange(n) * 0.25 + 100.0, np.ones(n)
+        tracemalloc.start()
+        try:
+            s = Spectrum(_Made(mz), _Made(intensity))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.mz is mz
+        assert peak <= 0.25 * mz.nbytes
 
 
 class TestMSImage:
